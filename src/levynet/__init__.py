@@ -20,7 +20,8 @@ from .levy import (LevyTriple, MeasureDescriptor, PointProcessSample,
 from .models import (MODEL_NAMES, VarianceModel, check_id_conditions,
                      make_model, model_from_spec, sample_variances)
 from .network import (NetworkConfig, NetworkRealization, forward,
-                      sample_network, sample_random_kernel,
+                      forward_law, sample_lambdas, sample_network,
+                      sample_random_kernel,
                       simulate_limit_single_input, stable_case_scale,
                       variance_recursion)
 from .pruning import (PruningRule, compressibility_ratio, epsilon_error_bound,
@@ -45,7 +46,8 @@ __all__ = [
     "trivial_measure",
     "MODEL_NAMES", "VarianceModel", "check_id_conditions", "make_model",
     "model_from_spec", "sample_variances",
-    "NetworkConfig", "NetworkRealization", "forward", "sample_network",
+    "NetworkConfig", "NetworkRealization", "forward", "forward_law",
+    "sample_lambdas", "sample_network",
     "sample_random_kernel", "simulate_limit_single_input",
     "stable_case_scale", "variance_recursion",
     "PruningRule", "compressibility_ratio", "epsilon_error_bound",

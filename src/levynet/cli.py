@@ -7,8 +7,9 @@ Files are written atomically and are byte-identical for a fixed seed whatever
 the worker count.
 
 CSV schema: UTF-8, comma-delimited, '.' decimal point, a header row always
-present; nonzero numbers of magnitude below 1e-4 are written in scientific
-notation.  Per-command columns:
+present; a cell containing a comma or a double quote is quoted (RFC 4180
+style, as the csv module reads it back); nonzero numbers of magnitude below
+1e-4 are written in scientific notation.  Per-command columns:
 
   output_dist:         histogram(model, output, density),
                        tail(model, abs_output, survival)
@@ -23,6 +24,8 @@ notation.  Per-command columns:
 """
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -85,10 +88,11 @@ def _format_cell(v):
 
 
 def _csv_text(columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_format_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _write_atomic(path, text):

@@ -12,6 +12,7 @@ for any worker count.
 import math
 
 import numpy as np
+from scipy import special as sp
 
 from . import kernels, levy, pruning, stats
 from .activations import RELU
@@ -276,6 +277,18 @@ def kernel_realizations(config, master_seed, replicates, workers):
     return report
 
 
+# Limits of the kappa mass ratio for the GP-regime (a > 0) models that have
+# one in closed form.  deterministic: lambda = c/p ties everywhere and the
+# kappa rule prunes ties together, so the whole mass is prunable.
+# inverse_gamma: lambda = (2/p)/G with G ~ Gamma(2), so the pruned nodes are
+# those with G >= q, the kappa-quantile of G, carrying
+# E[G^-1; G >= q] / E[G^-1] = e^{-q} of the mass (0.1867 at kappa = 1/2).
+_GP_RATIO_LIMITS = {
+    "deterministic": lambda kappa: 1.0,
+    "inverse_gamma": lambda kappa: math.exp(-sp.gammaincinv(2.0, kappa)),
+}
+
+
 @stats.register_experiment("compressibility")
 def compressibility(config, master_seed, replicates, workers):
     widths = [int(w) for w in config.get("widths", (500, 2000, 8000))]
@@ -310,9 +323,11 @@ def compressibility(config, master_seed, replicates, workers):
             report.add_check(f"{name}/ratio_final", ratios[-1], 0.0, 0.05)
             report.add_check(f"{name}/pruning_error_fraction_final",
                              err_fracs[-1], 0.0, 0.05)
+        elif model.name in _GP_RATIO_LIMITS:
+            report.add_check(f"{name}/ratio_vs_limit", ratios[-1],
+                             _GP_RATIO_LIMITS[model.name](kappa), 0.03)
         else:
-            report.add_check(f"{name}/ratio_vs_1_minus_kappa",
-                             ratios[-1], 1.0 - kappa, 0.03)
+            report.add_estimate(f"{name}/ratio_final", ratios[-1], 0.0)
     report.add_table(
         "compressibility",
         ["model", "width", "mass_ratio", "pruning_error", "error_fraction"],

@@ -10,6 +10,14 @@ converge to a Gaussian scale mixture driven by a stochastic variance
 recurrence, and the joint law over several inputs converges to a mixture of
 Gaussian processes whose random covariance kernel this module samples
 directly.
+
+At finite width the same conditional Gaussianity holds exactly: given
+lambda^{(l-1)} and the activations H of m rows that share one realisation,
+the layer-l pre-activations are iid over the p_l output nodes, each node's
+m-vector N(0, sigma_b^2 + sigma_v^2 H diag(lambda^{(l-1)}) H^T).
+`forward_law` draws from that law layer by layer without forming any weight
+matrix; `sample_network` / `forward` keep the explicit weights as the public
+API and the oracle it is tested against.
 """
 
 import json
@@ -26,8 +34,10 @@ from .rng import sample_positive_stable
 __all__ = [
     "NetworkConfig",
     "NetworkRealization",
+    "sample_lambdas",
     "sample_network",
     "forward",
+    "forward_law",
     "simulate_limit_single_input",
     "variance_recursion",
     "sample_random_kernel",
@@ -120,15 +130,22 @@ class NetworkRealization:
         return np.sqrt(self.lambdas[l - 1])[:, None] * self.V[l - 1]
 
 
+def sample_lambdas(cfg, rng):
+    """The variances [lambda^{(0)}, ..., lambda^{(L)}] of one realisation, one
+    draw per hidden layer in layer order; lambda^{(0)} = 1/d_in is fixed."""
+    sizes = cfg.layer_sizes()
+    lambdas = [np.full(cfg.d_in, 1.0 / cfg.d_in)]
+    for l, model in enumerate(cfg.variance_models):
+        lambdas.append(model.sample(cfg.widths[l], rng, p_next=sizes[l + 2],
+                                    n=1)[0])
+    return lambdas
+
+
 def sample_network(cfg, rng):
     """Draw all variances, weights and biases of a finite network."""
     sizes = cfg.layer_sizes()
     gen = rng.generator
-    lambdas = [np.full(cfg.d_in, 1.0 / cfg.d_in)]
-    for l, model in enumerate(cfg.variance_models):
-        p = cfg.widths[l]
-        p_next = sizes[l + 2]
-        lambdas.append(model.sample(p, rng, p_next=p_next, n=1)[0])
+    lambdas = sample_lambdas(cfg, rng)
     V = [cfg.sigma_v * gen.standard_normal((sizes[l], sizes[l + 1]))
          for l in range(len(sizes) - 1)]
     B = [cfg.sigma_b * gen.standard_normal(sizes[l + 1])
@@ -149,6 +166,59 @@ def forward(real, cfg, x):
     zs = []
     for l in range(1, cfg.n_hidden + 2):
         z = h @ real.weight(l) + real.B[l - 1]
+        zs.append(z[0] if squeeze else z)
+        h = phi(z)
+    return zs
+
+
+def _distinct_rows(a):
+    """(distinct, back): the bitwise-distinct rows of a in order of first
+    appearance, and for every row of a the index of its copy in distinct."""
+    index, first, back = {}, [], []
+    for i, row in enumerate(a):
+        k = index.setdefault(row.tobytes(), len(index))
+        if k == len(first):
+            first.append(i)
+        back.append(k)
+    return a[first], np.array(back)
+
+
+def forward_law(cfg, lambdas, x, rng, keep=None):
+    """Pre-activations Z^{(1..L+1)} of input rows that share one realisation
+    with variances `lambdas`, drawn from their exact conditional law without
+    forming any weight matrix.
+
+    Given the m rows H entering layer l, Z^{(l)} has the law of A G with
+    A = [sigma_v H diag(sqrt(lambda^{(l-1)})) | sigma_b 1] and G iid N(0, 1):
+    its p_l columns are iid N(0, A A^T).  The factor L = R^T comes from a QR
+    of the transpose of A's distinct rows, A_k^T = Q R, so L L^T = A_k A_k^T
+    with no Gram matrix and no jitter, exactly also for collinear rows.  Each
+    layer draws one standard_normal((rank, p_l)) block, and rows that are
+    bitwise equal get bit-identical outputs.
+
+    x is an (m, d_in) batch (or a d_in vector, squeezing the outputs like
+    `forward`).  keep, if given, holds one boolean mask per hidden layer,
+    broadcastable to (m, p_l); a False entry prunes that node for that row,
+    i.e. zeroes its variance in the product into the next layer.
+    """
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    h = np.atleast_2d(x)
+    if h.shape[1] != cfg.d_in:
+        raise ValueError(f"input has {h.shape[1]} features, expected {cfg.d_in}")
+    gen = rng.generator
+    phi = cfg.activation
+    sizes = cfg.layer_sizes()
+    zs = []
+    for l in range(1, cfg.n_hidden + 2):
+        a = cfg.sigma_v * h * np.sqrt(lambdas[l - 1])
+        if l > 1 and keep is not None:
+            a = a * keep[l - 2]
+        if cfg.sigma_b > 0:
+            a = np.hstack([a, np.full((a.shape[0], 1), cfg.sigma_b)])
+        distinct, back = _distinct_rows(a)
+        factor = np.linalg.qr(distinct.T, mode="r").T
+        z = (factor @ gen.standard_normal((factor.shape[1], sizes[l])))[back]
         zs.append(z[0] if squeeze else z)
         h = phi(z)
     return zs

@@ -7,6 +7,13 @@ statistic (ties are pruned together, so a layer of identical variances is
 pruned entirely).  A third rule ranks nodes by the squared norm of their
 outgoing weights instead of by lambda, the practical criterion for iid
 Gaussian layers.
+
+`paired_pruning_error` drives the pruned and unpruned networks through one
+explicit realisation (`sample_network` / `forward`); it serves every rule and
+is the oracle.  `epsilon_sweep_error` needs only the variances: given them,
+the unpruned and pruned pre-activations of a layer are jointly Gaussian,
+iid over output nodes, so it draws them with `network.forward_law` (one QR
+factor of the distinct rows per layer) instead of p x p weight matrices.
 """
 
 import math
@@ -16,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import levy
-from .network import NetworkRealization, forward, variance_recursion
+from .network import (forward, forward_law, sample_lambdas, sample_network,
+                      variance_recursion)
 
 __all__ = [
     "PruningRule",
@@ -88,8 +96,6 @@ def paired_pruning_error(cfg, x, rule, replicates, rng):
     pruned and unpruned networks with the same realization.  Returns
     (means, std_errors), arrays over layers 1..L+1 averaged over output
     coordinates."""
-    from .network import sample_network
-
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     n_layers = cfg.n_hidden + 1
@@ -111,29 +117,27 @@ def paired_pruning_error(cfg, x, rule, replicates, rng):
 
 def epsilon_sweep_error(cfg, x, eps_grid, replicates, rng):
     """Final-layer paired pruning error across an epsilon grid, reusing each
-    sampled realization for every threshold.  The unpruned network and all
-    thresholds are propagated together as rows of one batch, applying each
-    threshold's keep-mask before every hidden-to-next-layer product.  Returns
-    (means, std_errors) aligned with eps_grid."""
-    from .network import sample_network
-
+    replicate's variances for every threshold.  The unpruned network and all
+    thresholds are rows of one `forward_law` batch, each threshold's row
+    carrying its keep-mask lambda > eps in every hidden layer; the rows share
+    the realisation, so the pair is drawn from its exact joint law without
+    any weight matrix, and a threshold that prunes nothing reproduces the
+    unpruned row bit for bit.  Per replicate the stream is consumed as: the
+    variances of every hidden layer, then one normal block per layer.
+    Returns (means, std_errors) aligned with eps_grid."""
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     x = np.asarray(x, dtype=float)
     eps_grid = np.asarray(eps_grid, dtype=float)
-    n_eps = eps_grid.size
-    phi = cfg.activation
-    acc = np.zeros(n_eps)
-    acc2 = np.zeros(n_eps)
+    # row 0 carries the unpruned network, rows 1.. the eps thresholds
+    thresholds = np.concatenate([[-np.inf], eps_grid])[:, None]
+    rows = np.tile(x, (thresholds.size, 1))
+    acc = np.zeros(eps_grid.size)
+    acc2 = np.zeros(eps_grid.size)
     for _ in range(int(replicates)):
-        real = sample_network(cfg, rng)
-        # row 0 carries the unpruned network, rows 1.. the eps thresholds
-        h = np.tile(x, (n_eps + 1, 1))
-        for l in range(1, cfg.n_hidden + 2):
-            if l > 1:
-                lam = real.lambdas[l - 1]
-                mask = lam[None, :] > eps_grid[:, None]
-                h[1:] *= mask
-            z = h @ real.weight(l) + real.B[l - 1]
-            h = phi(z)
+        lambdas = sample_lambdas(cfg, rng)
+        keep = [lam > thresholds for lam in lambdas[1:]]
+        z = forward_law(cfg, lambdas, rows, rng, keep=keep)[-1]
         gaps = np.mean((z[1:] - z[0]) ** 2, axis=1)
         acc += gaps
         acc2 += gaps ** 2

@@ -131,16 +131,17 @@ def small_weight_decay_check(atoms, alpha_at_zero):
 
 def squared_output_correlation(cfg, x, p, replicates, rng):
     """Empirical correlation of the squared first two output coordinates over
-    weight re-draws at hidden widths p."""
-    from .network import forward, sample_network
+    network re-draws at hidden widths p.  Each replicate draws the variances
+    and then the single input's pre-activations from their conditional law
+    (`network.forward_law`), which is exact and forms no weight matrix."""
+    from .network import forward_law, sample_lambdas
 
     if cfg.d_out < 2:
         raise ValueError("squared_output_correlation needs d_out >= 2")
     cfg_p = dc_replace(cfg, widths=[int(p)] * cfg.n_hidden)
     sq = np.empty((int(replicates), 2))
     for i in range(int(replicates)):
-        real = sample_network(cfg_p, rng)
-        z = forward(real, cfg_p, x)[-1]
+        z = forward_law(cfg_p, sample_lambdas(cfg_p, rng), x, rng)[-1]
         sq[i] = z[0] ** 2, z[1] ** 2
     return float(np.corrcoef(sq[:, 0], sq[:, 1])[0, 1])
 

@@ -1,6 +1,8 @@
 """Command-line interface: argument handling, file outputs, formatting rules,
 and worker-count invariance."""
 
+import csv
+import io
 import json
 import os
 
@@ -127,6 +129,19 @@ def test_cell_formatting_rules():
     assert float(cli._format_cell(v)) == v
 
 
+def test_csv_quotes_cells_containing_commas():
+    text = cli._csv_text(["label", "value"],
+                         [["inverse_tail_roundtrip/stable(0.5,1)", 0.5],
+                          ['say "hi"', 1.0], ["plain", None]])
+    assert text.endswith("\n") and "\r" not in text
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows == [["label", "value"],
+                    ["inverse_tail_roundtrip/stable(0.5,1)", "0.5"],
+                    ['say "hi"', "1"], ["plain", ""]]
+    # cells without a comma or quote are written as before
+    assert text.splitlines()[3] == "plain,"
+
+
 def test_verify_exit_code_on_failed_check(tmp_path, monkeypatch):
     rep = ExperimentReport("verify", config={})
     rep.add_check("forced_failure", 1.0, 0.0, 0.1)
@@ -156,3 +171,6 @@ def test_verify_passes_end_to_end(tmp_path, capsys):
     checks = _read(out / "verify_checks.csv").strip().split("\n")
     assert checks[0] == "label,value,target,tolerance,status"
     assert all(line.endswith(",pass") for line in checks[1:])
+    rows = list(csv.reader(io.StringIO(_read(out / "verify_checks.csv"))))
+    assert all(len(r) == 5 for r in rows)
+    assert "inverse_tail_roundtrip/stable(0.5,1)" in [r[0] for r in rows]

@@ -4,6 +4,8 @@ determinism."""
 import math
 
 import numpy as np
+import pytest
+from scipy import stats as st
 
 from levynet.experiments import STANDARD_MODEL_NAMES, standard_models
 from levynet.stats import run_experiment
@@ -104,8 +106,23 @@ def test_compressibility_small():
     # equal variances tie at the threshold, so the full mass is prunable
     assert all(r[2] == 1.0 for r in tab["rows"])
     check = next(c for c in rep.checks
-                 if c.label == "deterministic/ratio_vs_1_minus_kappa")
-    assert check.value == 1.0 and not check.passed
+                 if c.label == "deterministic/ratio_vs_limit")
+    assert check.value == 1.0 and check.target == 1.0 and check.passed
+
+
+def test_compressibility_gp_regime_targets():
+    spec = {"name": "compressibility", "widths": [200],
+            "models": ["inverse_gamma", "group_lasso_gamma"], "kappa": 0.5}
+    rep = run_experiment(spec, 10, 20)
+    check = next(c for c in rep.checks
+                 if c.label == "inverse_gamma/ratio_vs_limit")
+    # lambda = (2/p)/G, G ~ Gamma(2): the pruned mass is e^{-median(G)}
+    assert check.target == pytest.approx(math.exp(-st.gamma(2.0).median()),
+                                         rel=1e-12)
+    assert check.tolerance == 0.03
+    # a GP-regime model without a derived limit reports an estimate only
+    assert not [c for c in rep.checks if c.label.startswith("group_lasso")]
+    assert [e.label for e in rep.estimates] == ["group_lasso_gamma/ratio_final"]
 
 
 def test_verify_all_checks_pass():

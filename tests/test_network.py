@@ -10,7 +10,8 @@ from scipy import stats as st
 from levynet import kernels
 from levynet.activations import RELU, TANH, activation_from_name
 from levynet.models import make_model
-from levynet.network import (NetworkConfig, forward, sample_network,
+from levynet.network import (NetworkConfig, forward, forward_law,
+                             sample_lambdas, sample_network,
                              sample_random_kernel,
                              simulate_limit_single_input, stable_case_scale,
                              variance_recursion)
@@ -63,6 +64,85 @@ def test_deterministic_model_is_classic_iid_network():
     real = sample_network(cfg, RngStream(51, 0))
     w = real.weight(2)
     assert abs(w.std() * math.sqrt(4000 / 2.0) - 1.0) < 0.03
+
+
+def test_sample_lambdas_is_sample_networks_variance_draw():
+    beta = make_model("beta", eta=1.0, b=0.5)
+    cfg = NetworkConfig(2, 3, [20, 15], 1.0, 0.1, RELU, [beta, beta])
+    lams = sample_lambdas(cfg, RngStream(52, 0))
+    real = sample_network(cfg, RngStream(52, 0))
+    assert len(lams) == len(real.lambdas) == 3
+    for a, b in zip(lams, real.lambdas):
+        assert a.tobytes() == b.tobytes()
+
+
+class _OrthonormalRows:
+    """Stand-in for a stream whose normal blocks have orthonormal rows, so a
+    layer's draw Z = L G satisfies Z Z^T = L L^T exactly."""
+
+    def __init__(self):
+        self._calls = 0
+        self.generator = self
+
+    def standard_normal(self, shape):
+        rows, cols = shape
+        base = np.random.default_rng(self._calls).standard_normal((cols, rows))
+        self._calls += 1
+        return np.linalg.qr(base)[0].T
+
+
+def test_forward_law_layer_covariance_is_exact():
+    # K^{(l)} = sigma_b^2 + sigma_v^2 H diag(lambda keep) H^T per layer, for
+    # distinct, identical, collinear and masked rows
+    beta = make_model("beta", eta=1.0, b=0.5)
+    cfg = NetworkConfig(3, 6, [7, 8], 1.3, 0.4, RELU, [beta, beta])
+    lams = sample_lambdas(cfg, RngStream(53, 0))
+    x = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [2.0, 4.0, 6.0],
+                  [0.5, -1.0, 2.0], [0.5, -1.0, 2.0]])
+    keep1 = np.ones((5, 7), dtype=bool)
+    keep1[2, [1, 3]] = False
+    keep1[4, :4] = False
+    keep = [keep1, np.ones(8, dtype=bool)]
+    zs = forward_law(cfg, lams, x, _OrthonormalRows(), keep=keep)
+    assert [z.shape for z in zs] == [(5, 7), (5, 8), (5, 6)]
+    h, masks = x, [1.0] + keep
+    for z, lam, mask in zip(zs, lams, masks):
+        hm = h * mask
+        k = cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * (hm * lam) @ hm.T
+        assert np.allclose(z @ z.T, k, rtol=1e-12, atol=1e-12)
+        h = np.maximum(z, 0.0)
+    # identical inputs share every layer bit for bit until a mask separates
+    # them
+    assert all(np.array_equal(z[0], z[1]) for z in zs)
+    assert np.array_equal(zs[0][3], zs[0][4])
+    assert not np.array_equal(zs[1][3], zs[1][4])
+    # a 1-d input squeezes like forward
+    single = forward_law(cfg, lams, x[0], RngStream(53, 1))
+    assert [z.shape for z in single] == [(7,), (8,), (6,)]
+
+
+def test_forward_law_matches_explicit_weights_in_law():
+    # depth 2 with bias and two distinct inputs: moments of the final layer,
+    # including the cross-output term the shared variances induce, from
+    # explicit V and from the conditional law on independent streams
+    beta = make_model("beta", eta=1.0, b=0.5)
+    cfg = NetworkConfig(2, 2, [30, 30], 1.0, 0.2, RELU, [beta, beta])
+    x = np.array([[1.0, 0.5], [-0.3, 1.2]])
+    n = 3000
+
+    def stats(z):
+        return [z[0, 0] ** 2, z[1, 0] ** 2, z[0, 0] * z[1, 0],
+                z[0, 0] ** 2 * z[0, 1] ** 2]
+
+    rng_v, rng_law = RngStream(54, 0), RngStream(54, 1)
+    explicit = np.array([stats(forward(sample_network(cfg, rng_v), cfg, x)[-1])
+                         for _ in range(n)])
+    law = np.array([stats(forward_law(cfg, sample_lambdas(cfg, rng_law), x,
+                                      rng_law)[-1])
+                    for _ in range(n)])
+    se = np.sqrt((explicit.var(axis=0) + law.var(axis=0)) / n)
+    z = np.abs(explicit.mean(axis=0) - law.mean(axis=0)) / se
+    assert np.all(z <= 4.0), z
 
 
 def test_variance_recursion_exact():

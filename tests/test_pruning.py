@@ -131,20 +131,36 @@ def test_paired_error_zero_when_nothing_pruned():
                              RngStream(76, 0))
 
 
-def test_epsilon_sweep_matches_paired_error():
+def test_epsilon_sweep_matches_paired_error_in_law():
+    # the sweep draws from the conditional law, the paired error from
+    # explicit weights: on independent streams their final-layer errors agree
+    # in law (depth 2, so the masks propagate through a hidden layer)
     beta = make_model("beta", eta=1.0, b=0.5)
-    cfg = _cfg(beta, widths=(50,), sigma_b=0.1)
+    cfg = _cfg(beta, widths=(50, 50), sigma_b=0.1)
     x = np.array([1.0])
-    eps = 0.003
-    reps = 200
-    sweep_mean, sweep_se = epsilon_sweep_error(cfg, x, [eps], reps,
+    eps_grid = [0.003, 0.03]
+    reps = 4000
+    sweep_mean, sweep_se = epsilon_sweep_error(cfg, x, eps_grid, reps,
                                                RngStream(77, 0))
-    pair_mean, pair_se = paired_pruning_error(cfg, x,
-                                              PruningRule("epsilon", eps=eps),
-                                              reps, RngStream(77, 0))
-    # identical realizations (same stream), final layer only
-    assert sweep_mean[0] == pytest.approx(pair_mean[-1], rel=1e-10)
-    assert sweep_se[0] == pytest.approx(pair_se[-1], rel=1e-10)
+    for i, eps in enumerate(eps_grid):
+        pair_mean, pair_se = paired_pruning_error(
+            cfg, x, PruningRule("epsilon", eps=eps), reps,
+            RngStream(77, 1 + i))
+        z = abs(sweep_mean[i] - pair_mean[-1]) / math.hypot(sweep_se[i],
+                                                           pair_se[-1])
+        assert z <= 4.0, (eps, sweep_mean[i], pair_mean[-1], z)
+
+
+def test_epsilon_sweep_zero_gap_when_nothing_pruned():
+    # eps = 0 keeps every node, so that row is the unpruned row bit for bit
+    beta = make_model("beta", eta=1.0, b=0.5)
+    cfg = _cfg(beta, widths=(30, 30), sigma_b=0.1)
+    mean, se = epsilon_sweep_error(cfg, np.array([1.0]), [0.0, 0.01], 50,
+                                   RngStream(80, 0))
+    assert mean[0] == 0.0 and se[0] == 0.0
+    assert mean[1] > 0.0
+    with pytest.raises(ValueError):
+        epsilon_sweep_error(cfg, np.array([1.0]), [0.0], 0, RngStream(80, 0))
 
 
 def test_epsilon_sweep_monotone_in_eps():

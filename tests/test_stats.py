@@ -114,6 +114,25 @@ def test_squared_output_correlation_validates_d_out():
         squared_output_correlation(cfg, np.array([1.0]), 10, 5, RngStream(1, 0))
 
 
+def test_squared_output_correlation_regimes():
+    # the deterministic (GP) model's outputs are nearly independent (exact
+    # correlation about 0.012 at p = 200); the beta model's shared heavy
+    # variances couple them
+    from levynet.activations import RELU
+    from levynet.models import make_model
+    from levynet.network import NetworkConfig
+
+    x = np.array([1.0])
+    corr = {}
+    for name, model in (("deterministic", make_model("deterministic", c1=1.0)),
+                        ("beta", make_model("beta", eta=1.0, b=0.5))):
+        cfg = NetworkConfig(1, 2, [200], 1.0, 0.0, RELU, [model])
+        corr[name] = squared_output_correlation(cfg, x, 200, 3000,
+                                                RngStream(81, 0))
+    assert abs(corr["deterministic"]) < 0.1, corr
+    assert corr["beta"] > 0.1, corr
+
+
 def test_map_replicates_order_and_worker_invariance():
     fn = lambda i: i * i
     seq = map_replicates(fn, 20, workers=1)
