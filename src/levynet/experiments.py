@@ -130,16 +130,10 @@ def output_corr(config, master_seed, replicates, workers):
 
 def _max_weight_limit_cdf(m, xs):
     """Limit CDF of the largest |weight| at the points xs: exp(-nubar(x^2))
-    with nubar the tail of the chi-square mixture of the variance measure.
-    The (smooth, monotone) mixed tail is evaluated by quadrature on a coarse
-    log grid and interpolated log-log in between."""
-    xs = np.asarray(xs, dtype=float)
+    with nubar the tail of the chi-square mixture of the variance measure,
+    evaluated at every point."""
     mixed = levy.mix_with_chi2(m)
-    ys = xs ** 2
-    grid = np.geomspace(ys.min(), ys.max(), 50)
-    tails = np.maximum(levy.tail_intensity(mixed, grid), 1e-300)
-    nubar = np.exp(np.interp(np.log(ys), np.log(grid), np.log(tails)))
-    return np.exp(-nubar)
+    return np.exp(-levy.tail_intensity(mixed, np.asarray(xs, dtype=float) ** 2))
 
 
 @stats.register_experiment("max_weight")

@@ -212,18 +212,6 @@ def _bisect_tail(tail, u, support, rel=INVERSE_REL_TOL):
     return 0.5 * (lo + hi)
 
 
-def _vector_bisect_tail(tail, u, lo, hi, iters=80):
-    """Vectorized bisection for monotone nonincreasing tails on bracket arrays."""
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        ge = tail(mid) >= u
-        lo = np.where(ge, mid, lo)
-        hi = np.where(ge, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 class _TabulatedInverse:
     """Interpolated generalized inverse of a tail intensity, built once and
     evaluated with np.interp; used on hot sampling paths where a closed-form
@@ -751,11 +739,68 @@ def _chi2_moment(order):
     return 2.0**order * math.gamma(order + 0.5) / math.sqrt(math.pi)
 
 
+# Fixed nodes of the chi-square mixture rule: z = z0(x) + e^t on the uniform
+# grid t = -70, -69.8, ..., 4.6 (374 nodes, step 0.2).  As rhobar(x/z) grows
+# with z and chi2_1(z) <= z^{-1/2} / sqrt(2 pi), cutting t below -70 drops at
+# most 0.8 e^{-35} rhobar(x / (z0 + e^{-70})), under 1e-15 rhobar(x) for
+# unbounded support; cutting e^t above 100 drops a factor e^{-50} of the
+# chi-square weight.
+_MIX_STEP = 0.2
+_MIX_EXP_T = np.exp(np.arange(-70.0, math.log(100.0), _MIX_STEP))[None, :]
+# points per block: keeps each (points, nodes) temporary near 0.2 MB however
+# many points a caller asks for (a tabulated inverse can ask for 400 000)
+_MIX_BLOCK = 64
+
+
+def _chi2_mix_rule(base_tail, hi, x, density):
+    """nubar(x) = int rhobar(x/z) chi2_1(z) dz (or, with density=True, the
+    density nu(x) = (2x)^{-1} int rhobar(x/z) chi2_1(z) (z - 1) dz) by the
+    trapezoid rule in t on z = z0 + e^t, z0 = x/hi, with one call of
+    base_tail per block of points.  The output has the shape of x."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1, 1)
+    out = np.empty(flat.shape[0])
+    for s in range(0, flat.shape[0], _MIX_BLOCK):
+        xb = flat[s:s + _MIX_BLOCK]
+        z = _MIX_EXP_T if hi == math.inf else xb / hi + _MIX_EXP_T
+        r = xb / z
+        v = np.where(r >= hi, 0.0, base_tail(np.minimum(np.maximum(r, 1e-300), hi)))
+        w = _chi2_pdf(z) * _MIX_EXP_T
+        if density:
+            w = w * (z - 1.0) / (2.0 * xb)
+        out[s:s + _MIX_BLOCK] = _MIX_STEP * (v * w).sum(axis=1)
+    return out.reshape(x.shape)
+
+
 def mix_with_chi2(m):
     """The measure nu with nubar(x) = int_0^inf rhobar(x/z) chi2_1(z) dz — the
     Levy measure of the sum of squared weights when the node variances have
     Levy measure rho.  Power-law exponents are preserved; a power-law constant
-    at either end is multiplied by 2^t Gamma(t + 1/2) / sqrt(pi)."""
+    at either end is multiplied by 2^t Gamma(t + 1/2) / sqrt(pi).
+
+    Stable (and horseshoe) measures map to stable measures in closed form and
+    atomic ones to finite sums of scaled chi-square laws.  Otherwise nubar is a
+    fixed-node quadrature: with hi the right end of rho's support,
+    z = z0 + e^t with z0 = x/hi (0 for unbounded support), so the kink of
+    rhobar(x/z) at z = z0 sits at t = -inf and an endpoint factor (1 - r)^b
+    decays like e^{b t}; the integrand then decays exponentially in t at both
+    ends and the trapezoid rule on a uniform t-grid converges geometrically
+    in 1/step (the exp-sinh idea of Takahasi and Mori, 1974).  The grid is
+    374 nodes, t in [-70, 4.6] with step 0.2, shared by all x, and each
+    block of 64 points costs one vectorised call of rho's tail on a
+    (64, 374) array.  The density comes from the same tail values through
+    nu(x) = -d/dx nubar(x) = (2x)^{-1} int rhobar(x/z) chi2_1(z) (z - 1) dz
+    (differentiate nubar(x) = int_0^hi rhobar(r) chi2_1(x/r) x r^{-2} dr
+    under the integral), so it needs no density of rho and avoids the
+    (1 - r)^{b-1} endpoint singularity, which a float r cannot resolve.
+    Measured against the closed form mix(beta(eta, 1/2)) = 2 gamma(eta/2,
+    1/2) on x in [1e-3, 30], tail and density agree to 1.5e-14 relative.
+    Against a step-0.05 rule on t in [-110, ln 500], for x in [1e-10, 100],
+    they agree to 1e-13 relative for gamma, gg_pareto, scaled stable beta
+    and beta measures with b in {1/2, 1, 3}; for other b the hypergeometric
+    beta tail is itself off by up to 2e-8 relative just above its switch to
+    the small-x asymptote at 1e-10, and the mixture then differs by up to
+    1e-9 (tail) and 1e-8 (density)."""
     if m.kind == "trivial":
         return trivial_measure()
     if m.name in ("stable", "horseshoe"):
@@ -786,37 +831,13 @@ def mix_with_chi2(m):
             moment_fn=lambda k: moment(m, k) * _chi2_moment(k),
         )
 
-    base_tail = m.tail_fn
-    lo, hi = m.support
-
-    def tail(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        for i, xi in enumerate(x):
-            def f(z):
-                r = xi / np.asarray(z, dtype=float)
-                v = np.where(r >= hi, 0.0, base_tail(np.minimum(np.maximum(r, 1e-300), hi)))
-                return v * _chi2_pdf(z)
-            out[i] = _quad(f, xi / hi if hi < math.inf else 0.0, math.inf)
-        return out
-
-    def dens(x):
-        if m.density_fn is None:
-            return None
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        for i, xi in enumerate(x):
-            out[i] = _quad(lambda z: m.density_fn(np.asarray(xi / z))
-                           * _chi2_pdf(z) / np.asarray(z), xi / hi if hi < math.inf else 0.0,
-                           math.inf)
-        return out
-
+    base_tail, hi = m.tail_fn, m.support[1]
     tau = m.tau_at_infinity
     return MeasureDescriptor(
         kind="analytic", name=f"chi2mix({m.name})", params={"base": m.params},
         support=(0.0, math.inf),
-        tail_fn=tail,
-        density_fn=None if m.density_fn is None else dens,
+        tail_fn=lambda x: _chi2_mix_rule(base_tail, hi, x, density=False),
+        density_fn=lambda x: _chi2_mix_rule(base_tail, hi, x, density=True),
         moment_fn=lambda k: moment(m, k) * _chi2_moment(k),
         alpha_at_zero=m.alpha_at_zero,
         zero_constant_c=None if m.zero_constant_c is None or m.alpha_at_zero is None

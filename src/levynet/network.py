@@ -292,7 +292,8 @@ def _cond_phi_outer(kmat, act, gen):
         with np.errstate(invalid="ignore", divide="ignore"):
             rho = np.where(denom > 0, kmat / np.where(denom > 0, denom, 1.0), 0.0)
         rho = np.clip(rho, -1.0, 1.0)
-        kap = np.vectorize(lambda r: kernels.kappa(1.0, r))(rho)
+        # kappa_1(rho), the closed form of kernels.kappa(1, rho), elementwise
+        kap = np.sqrt(1.0 - rho * rho) + (math.pi / 2.0 + np.arcsin(rho)) * rho
         return denom * kap / (2.0 * math.pi)
     z = _gaussian_draws(kmat, gen, _MC_BUDGET)
     fz = act(z)

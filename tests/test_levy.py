@@ -224,6 +224,80 @@ def test_mix_with_chi2_tail_quadrature():
         assert abs(tail_intensity(mixed, x) - oracle) < 1e-6
 
 
+@pytest.mark.parametrize("eta", [1.0, 2.0])
+def test_mix_with_chi2_beta_half_closed_form(eta):
+    # the chi-square mixture of beta(eta, 1/2) is twice gamma(eta/2, 1/2)
+    mixed = mix_with_chi2(beta_measure(eta, 0.5))
+    gam = gamma_measure(eta / 2.0, 0.5)
+    xs = np.geomspace(1e-3, 30.0, 50)
+    assert np.allclose(tail_intensity(mixed, xs), 2.0 * tail_intensity(gam, xs),
+                       rtol=1e-10, atol=0.0)
+    assert np.allclose(mixed.density_fn(xs), 2.0 * gam.density_fn(xs),
+                       rtol=1e-10, atol=0.0)
+
+
+def test_mix_with_chi2_preserves_input_shape():
+    mixed = mix_with_chi2(beta_measure(2.0, 1.5))
+    for fn in (mixed.tail_fn, mixed.density_fn):
+        assert np.shape(fn(0.3)) == ()
+        assert fn(np.geomspace(0.1, 2.0, 5)).shape == (5,)
+        grid = np.geomspace(0.1, 2.0, 6).reshape(2, 3)
+        out = fn(grid)
+        assert out.shape == (2, 3)
+        assert np.array_equal(out.ravel(), fn(grid.ravel()))
+    assert isinstance(tail_intensity(mixed, 0.3), float)
+
+
+def _chi2_mix_tail_by_adaptive_quadrature(m, x):
+    # nubar(x) one point at a time by adaptive quadrature in log z
+    hi = m.support[1]
+
+    def integrand(z):
+        r = x / np.asarray(z, dtype=float)
+        v = np.where(r >= hi, 0.0,
+                     m.tail_fn(np.minimum(np.maximum(r, 1e-300), hi)))
+        return v * levy._chi2_pdf(z)
+
+    return levy._quad(integrand, x / hi if hi < math.inf else 0.0, math.inf)
+
+
+@pytest.mark.parametrize("m", [
+    beta_measure(1.0, 0.5), beta_measure(2.0, 1.5), beta_measure(1.0, 3.0),
+    gg_pareto_measure(4.0, 0.5, 5.0), gamma_measure(1.0, 1.0),
+    scaled_stable_beta_measure(2.0),
+], ids=lambda m: m.name)
+def test_mix_with_chi2_matches_adaptive_quadrature(m):
+    mixed = mix_with_chi2(m)
+    xs = np.geomspace(1e-3, 10.0, 6)
+    oracle = [_chi2_mix_tail_by_adaptive_quadrature(m, x) for x in xs]
+    assert np.allclose(tail_intensity(mixed, xs), oracle, rtol=0.0, atol=1e-9)
+    # the density is minus the derivative of the tail
+    h = 1e-5
+    slope = (tail_intensity(mixed, xs * (1 - h))
+             - tail_intensity(mixed, xs * (1 + h))) / (2 * h * xs)
+    assert np.allclose(mixed.density_fn(xs), slope, rtol=1e-6, atol=0.0)
+
+
+def test_mix_with_chi2_calls_base_tail_once_per_block():
+    m = beta_measure(2.0, 1.5)
+    base_tail, shapes = m.tail_fn, []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return base_tail(x)
+
+    m.tail_fn = counted
+    mixed = mix_with_chi2(m)
+    tail_intensity(mixed, np.geomspace(1e-3, 10.0, 50))
+    assert len(shapes) == 1 and shapes[0][0] == 50
+    # a larger request is split into blocks of at most _MIX_BLOCK points
+    shapes.clear()
+    n = 2 * levy._MIX_BLOCK + 1
+    tail_intensity(mixed, np.geomspace(1e-3, 10.0, n))
+    assert len(shapes) == 3
+    assert max(s[0] for s in shapes) <= levy._MIX_BLOCK
+
+
 def test_mix_with_chi2_moment_identity():
     m = gamma_measure(2.0, 1.5)
     mixed = mix_with_chi2(m)

@@ -10,8 +10,8 @@ from scipy import stats as st
 from levynet import kernels
 from levynet.activations import RELU, TANH, activation_from_name
 from levynet.models import make_model
-from levynet.network import (NetworkConfig, forward, forward_law,
-                             sample_lambdas, sample_network,
+from levynet.network import (NetworkConfig, _cond_phi_outer, forward,
+                             forward_law, sample_lambdas, sample_network,
                              sample_random_kernel,
                              simulate_limit_single_input, stable_case_scale,
                              variance_recursion)
@@ -194,6 +194,43 @@ def test_limit_output_beta_is_sqrt_gamma_normal():
     assert ks_distance(chains[:, 1], st.gamma(0.5, scale=2.0).cdf) < 0.011
     # the output is then a Student-like scale mixture; check via chi2(1) ratio
     assert ks_distance(out[:, 0] ** 2 / chains[:, 1], st.chi2(1).cdf) < 0.011
+
+
+@pytest.mark.parametrize("act", ["relu", "linear"])
+@pytest.mark.parametrize("name, params", [
+    ("regularized_horseshoe", {"c": 2.0}),
+    ("beta", {"eta": 1.0, "b": 1.5}),
+])
+def test_limit_through_generic_chi2_mixture_matches_recursion(name, params, act):
+    # neither model has a closed-form activation transform, so the limit
+    # samples the generic chi-square mixture of mix_with_chi2
+    cfg = _cfg(make_model(name, **params), widths=(10,),
+               act=activation_from_name(act))
+    x = np.array([1.0])
+    chains, _ = simulate_limit_single_input(cfg, x, RngStream(62, 0),
+                                            replicates=1000)
+    expect = variance_recursion(cfg, x)[-1]
+    se = chains[:, -1].std() / math.sqrt(chains.shape[0])
+    assert abs(chains[:, -1].mean() - expect) < 4 * se
+
+
+def test_relu_conditional_outer_matches_kappa_closed_form():
+    # rows: a direction, its negative (rho = -1), a multiple (rho = 1), a zero
+    # row (zero variance) and two generic rows
+    a = np.array([0.6, -0.3, 0.2])
+    rows = np.vstack([a, -a, 2.5 * a, np.zeros(3),
+                      [0.1, 0.9, -0.4], [-0.7, 0.2, 0.5]])
+    kmat = rows @ rows.T
+    got = _cond_phi_outer(kmat, RELU, None)
+    d = np.sqrt(np.diag(kmat))
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            if d[i] * d[j] == 0.0:
+                assert got[i, j] == 0.0
+                continue
+            rho = min(max(kmat[i, j] / (d[i] * d[j]), -1.0), 1.0)
+            expect = d[i] * d[j] * kernels.kappa(1.0, rho) / (2 * math.pi)
+            assert abs(got[i, j] - expect) <= 1e-14 * max(1.0, abs(expect))
 
 
 def test_limit_requires_homogeneous_activation():
