@@ -237,6 +237,16 @@ def truncation_error(config, master_seed, replicates, workers):
 
 @stats.register_experiment("kernel_realizations")
 def kernel_realizations(config, master_seed, replicates, workers):
+    """Draws of the layer-2 random ReLU kernel K(x_0, x) over 41 angles, one
+    column per draw, for beta(eta, eta/2) layers at each eta in `betas`.
+
+    Draw i for the k-th eta reads its own RngStream(master_seed,
+    1000 k + i).  The draws run serially in the calling thread,
+    whatever `workers` says: each one's cost is a single Gram product
+    Phi^T diag(lambda) Phi that BLAS already spreads over the cores, so
+    replicate threads on top of it only oversubscribe them (about 2x slower
+    with 2 workers on a 2-core machine) and race to fill the measure's lazy
+    atom-floor and inverse-tail caches."""
     betas = [float(b) for b in config.get("betas", (1.0, 10.0, 1000.0))]
     n_rho = int(config.get("n_rho", 41))
     rhos = np.linspace(-1.0, 1.0, n_rho)
@@ -255,12 +265,9 @@ def kernel_realizations(config, master_seed, replicates, workers):
         model = make_model("beta", eta=beta, b=beta / 2.0)
         cfg = NetworkConfig(2, 1, [1], 1.0, 0.0, RELU, [model])
 
-        def one_draw(i, cfg=cfg, bi=bi):
-            k2 = sample_random_kernel(cfg, inputs,
-                                      RngStream(master_seed, 1000 * bi + i))[1]
-            return k2[0, 1:]
-
-        draws = stats.map_replicates(one_draw, n_draws, workers)
+        draws = [sample_random_kernel(
+            cfg, inputs, RngStream(master_seed, 1000 * bi + i))[1][0, 1:]
+            for i in range(n_draws)]
         for ri, rho in enumerate(rhos):
             rows.append([beta, float(rho), float(gp[ri])]
                         + [float(d[ri]) for d in draws])

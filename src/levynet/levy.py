@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import laguerre, polynomial
 from scipy import integrate
 from scipy import special as sp
 
@@ -330,7 +331,16 @@ def gamma_measure(eta, rate):
     )
 
 
+# the beta tail for b not in {1/2, 1}: terms of its integer-b finite sum per
+# block, and the length of the two series and the Laguerre rule otherwise
+_BETA_BLOCK = 1 << 16
+_BETA_TERMS = 60
+_LAGUERRE = laguerre.laggauss(_BETA_TERMS)
+
+
 def _beta_tail_factory(eta, b):
+    """(tail, inverse) of the beta measure, tail(x) = eta int_x^1 u^{-1}
+    (1-u)^{b-1} du; inverse is None where no closed form exists."""
     if b == 1.0:
         tail = lambda x: -eta * np.log(np.asarray(x, dtype=float))
         inverse = lambda u: np.exp(-np.asarray(u, dtype=float) / eta)
@@ -349,29 +359,53 @@ def _beta_tail_factory(eta, b):
             return (2.0 * e / (1.0 + e * e)) ** 2
         return tail, inverse
     if float(b).is_integer() and b > 1:
-        nb = int(b)
+        j = np.arange(1.0, b)
+        rows = max(_BETA_BLOCK // j.size, 1)
 
         def tail(x):
+            # -log x - sum_{j<b} y^j / j with y = 1 - x, over blocks of at most
+            # _BETA_BLOCK terms; the powers are a running product and the sum
+            # runs in order of j, the roundings of the recurrence
+            # y^j = y^{j-1} y, acc += y^j / j
             x = np.asarray(x, dtype=float)
-            y = 1.0 - x
-            acc = np.zeros_like(y)
-            yj = np.ones_like(y)
-            for j in range(1, nb):
-                yj = yj * y
-                acc += yj / j
-            return eta * (-np.log(x) - acc)
+            y = (1.0 - x).reshape(-1, 1)
+            acc = np.empty(y.shape[0])
+            for s in range(0, y.shape[0], rows):
+                terms = np.repeat(y[s:s + rows], j.size, axis=1).cumprod(axis=1) / j
+                acc[s:s + rows] = terms.cumsum(axis=1)[:, -1]
+            return eta * (-np.log(x) - acc.reshape(x.shape))
         return tail, None
 
+    k = np.arange(1.0, _BETA_TERMS + 1)
+    x_coef = np.concatenate(([0.0], np.cumprod((k - b) / k) / k))
+    y_coef = 1.0 / (b + np.arange(_BETA_TERMS))
+    const = -sp.digamma(b) - np.euler_gamma
+    nodes, weights = _LAGUERRE
+    rows = _BETA_BLOCK // _BETA_TERMS
+
     def tail(x):
-        # int_x^1 u^{-1}(1-u)^{b-1} du = y^b/b * 2F1(1, b; b+1; y), y = 1-x,
-        # with the small-x asymptote -log x - psi(b) - gamma_E
-        x = np.asarray(x, dtype=float)
-        y = 1.0 - x
-        small = x < 1e-10
-        xs = np.where(small, 1e-6, x)
-        exact = (1.0 - xs) ** b / b * sp.hyp2f1(1.0, b, b + 1.0, 1.0 - xs)
-        asym = -np.log(np.maximum(x, 1e-320)) - sp.digamma(b) - np.euler_gamma
-        return eta * np.where(small, asym, exact)
+        # int_x^1 u^{-1} (1-u)^{b-1} du, y = 1 - x, by one of three expansions:
+        # for x <= 1/2 and b x <= 2 the binomial series in x,
+        #   -log x - psi(b) - gamma_E - sum_k (-1)^k C(b-1, k) x^k / k;
+        # for x > 1/2 the series in y, y^b sum_n y^n / (b + n);
+        # otherwise, with s = -log y, y^b int_0^inf e^{-b w} / (1 - e^{-s-w}) dw
+        # by Gauss-Laguerre in b w (its pole at b w = -b s <= -2 is far enough)
+        x = np.clip(np.asarray(x, dtype=float), 1e-320, 1.0)
+        flat = x.reshape(-1)
+        out = np.empty_like(flat)
+        near_one = flat > 0.5
+        small = ~near_one & (b * flat <= 2.0)
+        xs = flat[small]
+        out[small] = -np.log(xs) + const - polynomial.polyval(xs, x_coef)
+        yn = 1.0 - flat[near_one]
+        out[near_one] = yn ** b * polynomial.polyval(yn, y_coef)
+        mid = np.flatnonzero(~near_one & ~small)
+        for s in range(0, mid.size, rows):
+            idx = mid[s:s + rows]
+            log_y = np.log1p(-flat[idx])
+            g = -np.expm1(log_y[:, None] - nodes / b)
+            out[idx] = np.exp(b * log_y) / b * ((1.0 / g) @ weights)
+        return eta * out.reshape(x.shape)
     return tail, None
 
 
@@ -797,10 +831,7 @@ def mix_with_chi2(m):
     1/2) on x in [1e-3, 30], tail and density agree to 1.5e-14 relative.
     Against a step-0.05 rule on t in [-110, ln 500], for x in [1e-10, 100],
     they agree to 1e-13 relative for gamma, gg_pareto, scaled stable beta
-    and beta measures with b in {1/2, 1, 3}; for other b the hypergeometric
-    beta tail is itself off by up to 2e-8 relative just above its switch to
-    the small-x asymptote at 1e-10, and the mixture then differs by up to
-    1e-9 (tail) and 1e-8 (density)."""
+    and beta measures with b in {0.3, 1/2, 1, 1.5, 2.7, 3, 7.3}."""
     if m.kind == "trivial":
         return trivial_measure()
     if m.name in ("stable", "horseshoe"):
@@ -1013,10 +1044,12 @@ def sample_id_batch(t, rng, n, atom_floor=None):
     if m.kind == "atomic" or m.finite_sampler is not None:
         atoms, _, _ = sample_ppp_matrix(m, rng, atom_floor, n=n)
         return t.location_a + atoms.sum(axis=1)
-    if m.name == "stable" and atom_floor is None:
-        # the total atom mass of a stable measure has an exact sampler
+    if m.name in ("stable", "horseshoe") and atom_floor is None:
+        # the total atom mass of a stable measure (the horseshoe's is the
+        # 1/2-stable one) has an exact sampler
         from .rng import sample_positive_stable
-        draws = sample_positive_stable(m.params["alpha"], m.params["c"], rng, n)
+        draws = sample_positive_stable(m.params.get("alpha", 0.5), m.params["c"],
+                                       rng, n)
         return t.location_a + np.atleast_1d(np.asarray(draws, dtype=float))
     if atom_floor is None:
         atom_floor = default_atom_floor(m)

@@ -171,6 +171,13 @@ def forward(real, cfg, x):
     return zs
 
 
+def _bias_augmented(a, sigma_b):
+    """[a | sigma_b 1], whose Gram matrix is sigma_b^2 + a a^T."""
+    if sigma_b > 0:
+        a = np.hstack([a, np.full((a.shape[0], 1), sigma_b)])
+    return a
+
+
 def _distinct_rows(a):
     """(distinct, back): the bitwise-distinct rows of a in order of first
     appearance, and for every row of a the index of its copy in distinct."""
@@ -214,9 +221,7 @@ def forward_law(cfg, lambdas, x, rng, keep=None):
         a = cfg.sigma_v * h * np.sqrt(lambdas[l - 1])
         if l > 1 and keep is not None:
             a = a * keep[l - 2]
-        if cfg.sigma_b > 0:
-            a = np.hstack([a, np.full((a.shape[0], 1), cfg.sigma_b)])
-        distinct, back = _distinct_rows(a)
+        distinct, back = _distinct_rows(_bias_augmented(a, cfg.sigma_b))
         factor = np.linalg.qr(distinct.T, mode="r").T
         z = (factor @ gen.standard_normal((factor.shape[1], sizes[l])))[back]
         zs.append(z[0] if squeeze else z)
@@ -281,9 +286,11 @@ def variance_recursion(cfg, x):
 _MC_BUDGET = 100_000
 
 
-def _cond_phi_outer(kmat, act, gen):
+def _cond_phi_outer(kmat, act, gen, factor=None):
     """E[phi(z_i) phi(z_j)] over z ~ N(0, kmat): closed form for linear and
-    ReLU, Monte Carlo with a 1e5-draw budget otherwise."""
+    ReLU, Monte Carlo with a 1e5-draw budget otherwise, drawing z = G F^T
+    from a factor F F^T = kmat (the jittered Cholesky factor if none is
+    given)."""
     if act.name == "linear":
         return kmat.copy()
     if act.name == "relu":
@@ -295,8 +302,9 @@ def _cond_phi_outer(kmat, act, gen):
         # kappa_1(rho), the closed form of kernels.kappa(1, rho), elementwise
         kap = np.sqrt(1.0 - rho * rho) + (math.pi / 2.0 + np.arcsin(rho)) * rho
         return denom * kap / (2.0 * math.pi)
-    z = _gaussian_draws(kmat, gen, _MC_BUDGET)
-    fz = act(z)
+    if factor is None:
+        factor = _factor_with_jitter(kmat)
+    fz = act(_gaussian_draws(factor, gen, _MC_BUDGET))
     return fz.T @ fz / _MC_BUDGET
 
 
@@ -315,9 +323,9 @@ def _factor_with_jitter(kmat):
         "jitter tolerance; the intermediate kernel is numerically invalid")
 
 
-def _gaussian_draws(kmat, gen, count):
-    chol = _factor_with_jitter(kmat)
-    return gen.standard_normal((count, kmat.shape[0])) @ chol.T
+def _gaussian_draws(factor, gen, count):
+    """count rows z = G F^T, iid N(0, F F^T), from a (count, rank) block G."""
+    return gen.standard_normal((count, factor.shape[1])) @ factor.T
 
 
 def _envelope_constant(act):
@@ -338,6 +346,15 @@ def sample_random_kernel(cfg, inputs, rng, atom_floor=None):
     layer's limiting measure and zeta_j ~ N(0, K^{(l)}).  Truncated small-atom
     mass is folded into the drift term when the measure's first moment is
     finite.
+
+    The marks are zeta = G F^T with G iid N(0, 1) of shape (atoms, rank) and
+    F F^T = K^{(l)}.  At layer 1, F is the exact input factor
+    [sigma_v x / sqrt(d_in) | sigma_b 1], reduced to n columns by a thin QR
+    (F = R^T from F^T = Q R) only when it has more; so the marks cost rank
+    normals per atom and need no jitter, also for duplicate or collinear
+    inputs.  Deeper kernels are only known as matrices, and there F is their
+    Cholesky factor with the escalating relative jitter of
+    `_factor_with_jitter`.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     n = x.shape[0]
@@ -349,6 +366,9 @@ def sample_random_kernel(cfg, inputs, rng, atom_floor=None):
     act = cfg.activation
     sv2 = cfg.sigma_v ** 2
     kmat = cfg.sigma_b ** 2 + sv2 * (x @ x.T) / cfg.d_in
+    factor = _bias_augmented(cfg.sigma_v * x / math.sqrt(cfg.d_in), cfg.sigma_b)
+    if factor.shape[1] > n:
+        factor = np.linalg.qr(factor.T, mode="r").T
     out = [kmat]
     c_env = _envelope_constant(act)
     for model in cfg.variance_models:
@@ -363,17 +383,19 @@ def sample_random_kernel(cfg, inputs, rng, atom_floor=None):
             rule = 1e-8 * trace / (sv2 * max_diag * c_env)
             floor = min(levy.default_atom_floor(m), rule)
         pp = levy.sample_ppp(m, rng, atom_floor=floor)
-        cond = _cond_phi_outer(kmat, act, gen)
+        cond = _cond_phi_outer(kmat, act, gen, factor)
         a_eff = triple.location_a
         if math.isfinite(pp.truncated_mean_mass):
             a_eff += pp.truncated_mean_mass
         nxt = cfg.sigma_b ** 2 + sv2 * a_eff * cond
         atoms = pp.atoms
         if atoms.size:
-            zeta = _gaussian_draws(kmat, gen, atoms.size)
-            fz = act(zeta)
+            if factor is None:
+                factor = _factor_with_jitter(kmat)
+            fz = act(_gaussian_draws(factor, gen, atoms.size))
             nxt = nxt + sv2 * (fz.T * atoms) @ fz
         kmat = 0.5 * (nxt + nxt.T)
+        factor = None
         out.append(kmat)
     return out
 

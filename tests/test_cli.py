@@ -73,6 +73,20 @@ def test_worker_invariance_byte_identical(tmp_path):
         assert _read(out1 / name) == _read(out8 / name)
 
 
+def test_kernel_realizations_worker_invariance_at_large_beta(tmp_path):
+    # beta(1000, 500) layers: about 16 000 atoms per draw and lazily cached
+    # atom floors and inverse tails, which the draws share
+    config = {"betas": [1000.0], "n_rho": 5}
+    _, out1 = _run(tmp_path, "kernel_realizations", "--workers", "1",
+                   "--replicates", "6", config=config)
+    _, out2 = _run(tmp_path, "kernel_realizations", "--workers", "2",
+                   "--replicates", "6", config=config)
+    assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
+    for name in os.listdir(out1):
+        with open(out1 / name, "rb") as f1, open(out2 / name, "rb") as f2:
+            assert f1.read() == f2.read()
+
+
 def test_config_file_values_and_flag_override(tmp_path):
     out = tmp_path / "cfgrun"
     cfg_file = tmp_path / "cfg.json"

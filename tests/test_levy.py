@@ -21,7 +21,7 @@ from levynet.levy import (LevyTriple, atomic_measure, beta_measure,
                           scaled_stable_beta_measure, stable_measure,
                           tail_intensity, trivial_measure, add_measures,
                           activation_transform)
-from levynet.rng import RngStream
+from levynet.rng import RngStream, sample_positive_stable
 from levynet.stats import ks_distance
 
 
@@ -178,6 +178,45 @@ def test_tabulated_inverse_matches_bisection():
 # ---------------------------------------------------------------------------
 # measure algebra and transforms
 # ---------------------------------------------------------------------------
+
+def _integer_b_tail_loop(eta, b, x):
+    # the term-by-term sum the integer-b beta tail used to run
+    x = np.asarray(x, dtype=float)
+    y = 1.0 - x
+    acc = np.zeros_like(y)
+    yj = np.ones_like(y)
+    for j in range(1, b):
+        yj = yj * y
+        acc += yj / j
+    return eta * (-np.log(x) - acc)
+
+
+@pytest.mark.parametrize("b", [2, 5, 500])
+def test_integer_b_beta_tail_matches_term_loop(b):
+    tail = beta_measure(3.0, b).tail_fn
+    grid = np.geomspace(1e-14, 0.999, 400)
+    for x in (0.37, np.float64(1e-9), grid, grid.reshape(20, 20),
+              np.random.default_rng(b).random((3, 7))):
+        got, ref = tail(x), _integer_b_tail_loop(3.0, b, x)
+        assert np.shape(got) == np.shape(x)
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("b", [0.3, 1.5, 2.7, 7.3, 50.5])
+def test_generic_b_beta_tail_matches_mpmath(b):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    x = np.concatenate([np.geomspace(1e-14, 0.5, 60),
+                        1.0 - np.geomspace(0.49, 1e-5, 20)])
+    got = beta_measure(1.0, b).tail_fn(x)
+    # int_x^1 u^{-1} (1-u)^{b-1} du = y^b / b 2F1(1, b; b+1; y), y = 1 - x
+    ref = np.array([float((1 - mp.mpf(v)) ** b / b
+                          * mp.hyp2f1(1, b, b + 1, 1 - mp.mpf(v)))
+                    for v in x])
+    assert np.all(ref > 0)
+    assert np.max(np.abs(got / ref - 1.0)) < 1e-13
+    assert np.shape(beta_measure(1.0, b).tail_fn(0.2)) == ()
+
 
 def test_scale_mass_and_dilate_tails():
     m = gamma_measure(2.0, 1.5)
@@ -457,6 +496,15 @@ def test_sample_id_horseshoe_is_inverse_gamma():
     draws = sample_id_batch(t, RngStream(45, 0), 20_000)
     ks = ks_distance(draws, st.invgamma(0.5, scale=math.pi / 4.0).cdf)
     assert ks < 0.015
+
+
+def test_sample_id_horseshoe_takes_the_exact_stable_path():
+    # the horseshoe measure is the 1/2-stable one, so its ID law is drawn by
+    # the positive-stable sampler, not a truncated atom series
+    t = LevyTriple(0.0, horseshoe_measure(2.0))
+    draws = sample_id_batch(t, RngStream(46, 0), 500)
+    stable = sample_positive_stable(0.5, 2.0, RngStream(46, 0), 500)
+    assert np.array_equal(draws, stable)
 
 
 def test_sample_id_requires_floor_semantics():

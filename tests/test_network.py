@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats as st
 
-from levynet import kernels
+from levynet import kernels, network
 from levynet.activations import RELU, TANH, activation_from_name
+from levynet.levy import LevyTriple, atomic_measure
 from levynet.models import make_model
 from levynet.network import (NetworkConfig, _cond_phi_outer, forward,
                              forward_law, sample_lambdas, sample_network,
@@ -76,19 +77,28 @@ def test_sample_lambdas_is_sample_networks_variance_draw():
         assert a.tobytes() == b.tobytes()
 
 
-class _OrthonormalRows:
-    """Stand-in for a stream whose normal blocks have orthonormal rows, so a
-    layer's draw Z = L G satisfies Z Z^T = L L^T exactly."""
+class _OrthonormalBlocks:
+    """Stand-in for a stream whose normal blocks are orthonormal along their
+    long side: a (k, p) block with k <= p has orthonormal rows, so a layer's
+    draw Z = L G satisfies Z Z^T = L L^T exactly, and an (atoms, rank) block
+    has orthonormal columns, so marks zeta = G F^T satisfy
+    zeta^T zeta = F F^T.  Every other draw comes from a seeded generator."""
 
     def __init__(self):
         self._calls = 0
+        self._gen = np.random.default_rng(63)
         self.generator = self
 
     def standard_normal(self, shape):
         rows, cols = shape
-        base = np.random.default_rng(self._calls).standard_normal((cols, rows))
+        base = np.random.default_rng(self._calls).standard_normal(
+            (max(rows, cols), min(rows, cols)))
         self._calls += 1
-        return np.linalg.qr(base)[0].T
+        q = np.linalg.qr(base)[0]
+        return q if rows > cols else q.T
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
 
 
 def test_forward_law_layer_covariance_is_exact():
@@ -103,7 +113,7 @@ def test_forward_law_layer_covariance_is_exact():
     keep1[2, [1, 3]] = False
     keep1[4, :4] = False
     keep = [keep1, np.ones(8, dtype=bool)]
-    zs = forward_law(cfg, lams, x, _OrthonormalRows(), keep=keep)
+    zs = forward_law(cfg, lams, x, _OrthonormalBlocks(), keep=keep)
     assert [z.shape for z in zs] == [(5, 7), (5, 8), (5, 6)]
     h, masks = x, [1.0] + keep
     for z, lam, mask in zip(zs, lams, masks):
@@ -264,6 +274,77 @@ def test_trivial_kernel_is_deterministic():
     kap = np.vectorize(lambda r: kernels.kappa(1.0, min(max(r, -1), 1)))(rho)
     expect = 0.09 + 2.0 * np.outer(d, d) * kap / (2 * math.pi)
     assert np.allclose(ks[1], expect, rtol=1e-10)
+
+
+class _CountingNormals:
+    """A stream that counts the standard normals it hands out."""
+
+    def __init__(self, rng):
+        self._gen = rng.generator
+        self.generator = self
+        self.normals = 0
+
+    def standard_normal(self, shape):
+        self.normals += int(np.prod(shape))
+        return self._gen.standard_normal(shape)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def _atom_limit(a, loc, mass):
+    class _Model:
+        limit = LevyTriple(a, atomic_measure([(loc, mass)]))
+    return _Model()
+
+
+@pytest.mark.parametrize("x, sigma_b", [
+    # duplicate and collinear rows, bias; factor [x / sqrt(3) | 0.4] is 5 x 4
+    (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [2.0, 4.0, 6.0],
+               [0.5, -1.0, 2.0], [-0.5, 1.0, -2.0]]), 0.4),
+    # d_in + 1 > n: the 2 x 4 factor is compressed by a thin QR
+    (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]), 0.4),
+    (np.array([[1.0, -2.0, 0.5, 0.0, 3.0, 1.0],
+               [2.0, -4.0, 1.0, 0.0, 6.0, 2.0],
+               [0.0, 1.0, 1.0, 1.0, 0.0, 0.0]]), 0.0),
+])
+def test_kernel_layer1_marks_have_exact_input_covariance(x, sigma_b):
+    # a linear layer whose atoms all sit at loc adds sigma_v^2 loc
+    # zeta^T zeta to K^{(2)}; the marks' (atoms, rank) normal block has
+    # orthonormal columns (about 40 atoms, rank <= 4), so zeta^T zeta is the
+    # covariance of the marks, and it must be K^{(1)} exactly
+    a, loc = 0.3, 0.7
+    d_in = x.shape[1]
+    cfg = NetworkConfig(d_in, 1, [1], 1.3, sigma_b,
+                        activation_from_name("linear"),
+                        [_atom_limit(a, loc, 40.0)])
+    k1, k2 = sample_random_kernel(cfg, x, _OrthonormalBlocks())
+    expect1 = sigma_b ** 2 + 1.3 ** 2 * x @ x.T / d_in
+    assert np.allclose(k1, expect1, rtol=1e-12, atol=1e-12)
+    expect2 = sigma_b ** 2 + 1.3 ** 2 * (a + loc) * expect1
+    assert np.allclose(k2, expect2, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, d_in, sigma_b, rank", [
+    (5, 2, 0.3, 3), (2, 4, 0.3, 2), (6, 3, 0.0, 3)])
+def test_kernel_layer1_draws_atoms_times_rank_normals(monkeypatch, n, d_in,
+                                                      sigma_b, rank):
+    atoms = []
+    sample_ppp = network.levy.sample_ppp
+
+    def recording(*args, **kwargs):
+        pp = sample_ppp(*args, **kwargs)
+        atoms.append(pp.atoms.size)
+        return pp
+
+    monkeypatch.setattr(network.levy, "sample_ppp", recording)
+    beta = make_model("beta", eta=2.0, b=0.5)
+    cfg = NetworkConfig(d_in, 1, [1], 1.0, sigma_b, RELU, [beta])
+    x = np.random.default_rng(n).standard_normal((n, d_in))
+    rng = _CountingNormals(RngStream(64, n))
+    sample_random_kernel(cfg, x, rng)
+    assert atoms[0] > 10
+    assert rng.normals == atoms[0] * rank
 
 
 def test_kernel_diag_matches_sigma_chain_law():
