@@ -242,11 +242,9 @@ def kernel_realizations(config, master_seed, replicates, workers):
 
     Draw i for the k-th eta reads its own RngStream(master_seed,
     1000 k + i).  The draws run serially in the calling thread,
-    whatever `workers` says: each one's cost is a single Gram product
-    Phi^T diag(lambda) Phi that BLAS already spreads over the cores, so
-    replicate threads on top of it only oversubscribe them (about 2x slower
-    with 2 workers on a 2-core machine) and race to fill the measure's lazy
-    atom-floor and inverse-tail caches."""
+    whatever `workers` says: on a 2-vCPU machine 2 replicate threads made
+    them about 2x slower than 1, and the threads race to fill the measure's
+    lazy atom-floor and inverse-tail caches, so each is built twice."""
     betas = [float(b) for b in config.get("betas", (1.0, 10.0, 1000.0))]
     n_rho = int(config.get("n_rho", 41))
     rhos = np.linspace(-1.0, 1.0, n_rho)

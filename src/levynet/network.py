@@ -284,13 +284,14 @@ def variance_recursion(cfg, x):
 
 
 _MC_BUDGET = 100_000
+# the activations whose conditional outer moment has a closed form
+_CLOSED_FORM = ("linear", "relu")
 
 
 def _cond_phi_outer(kmat, act, gen, factor=None):
     """E[phi(z_i) phi(z_j)] over z ~ N(0, kmat): closed form for linear and
     ReLU, Monte Carlo with a 1e5-draw budget otherwise, drawing z = G F^T
-    from a factor F F^T = kmat (the jittered Cholesky factor if none is
-    given)."""
+    from the factor F F^T = kmat that this branch needs."""
     if act.name == "linear":
         return kmat.copy()
     if act.name == "relu":
@@ -302,8 +303,6 @@ def _cond_phi_outer(kmat, act, gen, factor=None):
         # kappa_1(rho), the closed form of kernels.kappa(1, rho), elementwise
         kap = np.sqrt(1.0 - rho * rho) + (math.pi / 2.0 + np.arcsin(rho)) * rho
         return denom * kap / (2.0 * math.pi)
-    if factor is None:
-        factor = _factor_with_jitter(kmat)
     fz = act(_gaussian_draws(factor, gen, _MC_BUDGET))
     return fz.T @ fz / _MC_BUDGET
 
@@ -383,15 +382,15 @@ def sample_random_kernel(cfg, inputs, rng, atom_floor=None):
             rule = 1e-8 * trace / (sv2 * max_diag * c_env)
             floor = min(levy.default_atom_floor(m), rule)
         pp = levy.sample_ppp(m, rng, atom_floor=floor)
+        atoms = pp.atoms
+        if factor is None and (atoms.size or act.name not in _CLOSED_FORM):
+            factor = _factor_with_jitter(kmat)
         cond = _cond_phi_outer(kmat, act, gen, factor)
         a_eff = triple.location_a
         if math.isfinite(pp.truncated_mean_mass):
             a_eff += pp.truncated_mean_mass
         nxt = cfg.sigma_b ** 2 + sv2 * a_eff * cond
-        atoms = pp.atoms
         if atoms.size:
-            if factor is None:
-                factor = _factor_with_jitter(kmat)
             fz = act(_gaussian_draws(factor, gen, atoms.size))
             nxt = nxt + sv2 * (fz.T * atoms) @ fz
         kmat = 0.5 * (nxt + nxt.T)

@@ -180,7 +180,9 @@ def test_tabulated_inverse_matches_bisection():
 # ---------------------------------------------------------------------------
 
 def _integer_b_tail_loop(eta, b, x):
-    # the term-by-term sum the integer-b beta tail used to run
+    # the term-by-term finite sum the integer-b beta tail used to run; it
+    # cancels once the tail is small against log(1/x), so it is a reference
+    # only for x <= 1e-3
     x = np.asarray(x, dtype=float)
     y = 1.0 - x
     acc = np.zeros_like(y)
@@ -194,16 +196,16 @@ def _integer_b_tail_loop(eta, b, x):
 @pytest.mark.parametrize("b", [2, 5, 500])
 def test_integer_b_beta_tail_matches_term_loop(b):
     tail = beta_measure(3.0, b).tail_fn
-    grid = np.geomspace(1e-14, 0.999, 400)
-    for x in (0.37, np.float64(1e-9), grid, grid.reshape(20, 20),
-              np.random.default_rng(b).random((3, 7))):
+    grid = np.geomspace(1e-14, 1e-3, 400)
+    for x in (3.7e-4, np.float64(1e-9), grid, grid.reshape(20, 20),
+              1e-3 * np.random.default_rng(b).random((3, 7))):
         got, ref = tail(x), _integer_b_tail_loop(3.0, b, x)
         assert np.shape(got) == np.shape(x)
         assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("b", [0.3, 1.5, 2.7, 7.3, 50.5])
-def test_generic_b_beta_tail_matches_mpmath(b):
+@pytest.mark.parametrize("b", [0.3, 1.5, 2, 2.7, 5, 7.3, 50.5, 500])
+def test_beta_tail_matches_mpmath(b):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     x = np.concatenate([np.geomspace(1e-14, 0.5, 60),
@@ -213,8 +215,11 @@ def test_generic_b_beta_tail_matches_mpmath(b):
     ref = np.array([float((1 - mp.mpf(v)) ** b / b
                           * mp.hyp2f1(1, b, b + 1, 1 - mp.mpf(v)))
                     for v in x])
-    assert np.all(ref > 0)
-    assert np.max(np.abs(got / ref - 1.0)) < 1e-13
+    # near x = 1 the tail of b = 500 underflows (y^b < 1e-300)
+    normal = ref > 1e-290
+    assert np.count_nonzero(normal) >= 60
+    assert np.max(np.abs(got[normal] / ref[normal] - 1.0)) < 1e-13
+    assert np.all((got[~normal] >= 0.0) & (got[~normal] < 1e-280))
     assert np.shape(beta_measure(1.0, b).tail_fn(0.2)) == ()
 
 
