@@ -7,6 +7,13 @@ correlations across widths, largest-weight laws, the epsilon-pruning error
 sweep, random kernel realisations, and compressibility ratios.  Replicates are
 processed in fixed-size chunks keyed by chunk index, so results are identical
 for any worker count.
+
+The one-hidden-layer outputs (output_dist, output_corr and the E[Z^2]
+denominator of compressibility) come from their exact conditional law: given
+the variances and pre-activations the output is N(0, sum_j lambda_j
+relu(g_j)^2), and ReLU zeroes each unit independently with probability 1/2,
+so each replicate draws a Binomial(p, 1/2) count of active units, that many
+variances and squared normals, and d_out normals (`_batched_outputs`).
 """
 
 import math
@@ -56,8 +63,23 @@ def standard_models(names=None):
 
 def _batched_outputs(model, p, n, master_seed, stream_base, workers,
                      d_out=1):
-    """n draws of the width-p one-hidden-layer ReLU outputs for a unit input:
-    Z_k = sum_j sqrt(lambda_j) relu(g_j) v_jk, shape (n, d_out)."""
+    """n draws of the width-p one-hidden-layer ReLU outputs for a unit input,
+    shape (n, d_out), from their conditional law over the active units.
+
+    Z_k = sum_j sqrt(lambda_j) relu(g_j) v_jk is, given lambda and g, exactly
+    N(0, S) in each coordinate, independently, with S = sum_j lambda_j
+    relu(g_j)^2.  Each unit is active (g_j > 0) independently with probability
+    1/2, and then relu(g_j)^2 is chi-square(1); the inactive units' variances
+    never enter S.  So chunk i, from RngStream(master_seed, stream_base + i),
+    draws for its rows:
+      1. K ~ Binomial(p, 1/2) active units per row;
+      2. ceil(sum K / p) rows of mu_p (the entries are iid), flattened and
+         cut to sum K variances;
+      3. sum K standard normals, squared;
+      4. the per-row sums S (0 for a row with K = 0);
+      5. Z = sqrt(S) times a (rows, d_out) block of standard normals.
+    That is about p/2 variances and p/2 + d_out normals per row, against p
+    and p (1 + d_out) for the weights themselves."""
     n = int(n)
     n_chunks = (n + _CHUNK - 1) // _CHUNK
 
@@ -65,18 +87,25 @@ def _batched_outputs(model, p, n, master_seed, stream_base, workers,
         rng = RngStream(master_seed, stream_base + i)
         gen = rng.generator
         rows = min(_CHUNK, n - i * _CHUNK)
-        lam = model.sample(p, rng, p_next=d_out, n=rows)
-        h = np.maximum(gen.standard_normal((rows, p)), 0.0)
-        sl = np.sqrt(lam) * h
-        return np.stack([np.einsum("ij,ij->i", sl,
-                                   gen.standard_normal((rows, p)))
-                         for _ in range(d_out)], axis=1)
+        active = gen.binomial(p, 0.5, size=rows)
+        total = int(active.sum())
+        lam = model.sample(p, rng, p_next=d_out,
+                           n=-(-total // p)).ravel()[:total]
+        chi2 = gen.standard_normal(total) ** 2
+        # np.add.reduceat mishandles empty segments; bincount gives them 0
+        s = np.bincount(np.repeat(np.arange(rows), active),
+                        weights=lam * chi2, minlength=rows)
+        return np.sqrt(s)[:, None] * gen.standard_normal((rows, d_out))
 
     return np.concatenate(stats.map_replicates(one_chunk, n_chunks, workers))
 
 
 @stats.register_experiment("output_dist")
 def output_dist(config, master_seed, replicates, workers):
+    if replicates < 200:
+        raise ValueError(f"output_dist needs at least 200 replicates, got "
+                         f"{replicates}: its top-5% Hill tail estimate uses "
+                         f"the 10 largest of them")
     width = int(config.get("width", 2000))
     models = standard_models(config.get("models"))
     report = ExperimentReport("output_dist",
@@ -248,7 +277,7 @@ def kernel_realizations(config, master_seed, replicates, workers):
     betas = [float(b) for b in config.get("betas", (1.0, 10.0, 1000.0))]
     n_rho = int(config.get("n_rho", 41))
     rhos = np.linspace(-1.0, 1.0, n_rho)
-    n_draws = int(replicates) if replicates else 20
+    n_draws = int(replicates)
     report = ExperimentReport("kernel_realizations",
                               config={"betas": betas, "n_rho": n_rho})
     # points on the radius-sqrt(2) circle so |x||x'|/d_in = 1

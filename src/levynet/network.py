@@ -285,23 +285,34 @@ def variance_recursion(cfg, x):
 
 _MC_BUDGET = 100_000
 # the activations whose conditional outer moment has a closed form
-_CLOSED_FORM = ("linear", "relu")
+_CLOSED_FORM = ("linear", "relu", "leaky_relu")
 
 
 def _cond_phi_outer(kmat, act, gen, factor=None):
-    """E[phi(z_i) phi(z_j)] over z ~ N(0, kmat): closed form for linear and
-    ReLU, Monte Carlo with a 1e5-draw budget otherwise, drawing z = G F^T
-    from the factor F F^T = kmat that this branch needs."""
+    """E[phi(z_i) phi(z_j)] over z ~ N(0, kmat): closed form for linear, ReLU
+    and leaky ReLU, Monte Carlo with a 1e5-draw budget otherwise (tanh),
+    drawing z = G F^T from the factor F F^T = kmat that this branch needs.
+
+    Leaky ReLU is phi(u) = relu(u) - beta relu(-u), so by the arc-cosine
+    kernel (Cho & Saul 2009) E[phi(u) phi(v)] = sigma sigma' / (2 pi)
+    [(1 + beta^2) kappa_1(rho) - 2 beta kappa_1(-rho)]; ReLU is beta = 0."""
     if act.name == "linear":
         return kmat.copy()
-    if act.name == "relu":
+    if act.name in _CLOSED_FORM:
         d = np.sqrt(np.clip(np.diag(kmat), 0.0, None))
         denom = np.outer(d, d)
         with np.errstate(invalid="ignore", divide="ignore"):
             rho = np.where(denom > 0, kmat / np.where(denom > 0, denom, 1.0), 0.0)
         rho = np.clip(rho, -1.0, 1.0)
-        # kappa_1(rho), the closed form of kernels.kappa(1, rho), elementwise
-        kap = np.sqrt(1.0 - rho * rho) + (math.pi / 2.0 + np.arcsin(rho)) * rho
+
+        def kappa1(r):
+            # the closed form of kernels.kappa(1, r), elementwise
+            return np.sqrt(1.0 - r * r) + (math.pi / 2.0 + np.arcsin(r)) * r
+
+        kap = kappa1(rho)
+        if act.name == "leaky_relu":
+            beta = act.beta
+            kap = (1.0 + beta * beta) * kap - 2.0 * beta * kappa1(-rho)
         return denom * kap / (2.0 * math.pi)
     fz = act(_gaussian_draws(factor, gen, _MC_BUDGET))
     return fz.T @ fz / _MC_BUDGET

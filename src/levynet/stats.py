@@ -188,6 +188,8 @@ def run_experiment(spec, master_seed, replicates, worker_count=1):
     if name not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"known: {', '.join(experiment_names())}")
+    if int(replicates) < 1:
+        raise ValueError(f"replicates must be >= 1, got {int(replicates)}")
     config = {k: v for k, v in spec.items() if k != "name"}
     report = _EXPERIMENTS[name](config, int(master_seed), int(replicates),
                                 int(worker_count))

@@ -73,6 +73,22 @@ def test_worker_invariance_byte_identical(tmp_path):
         assert _read(out1 / name) == _read(out8 / name)
 
 
+@pytest.mark.parametrize("command, config", [
+    ("output_dist", {"width": 100, "models": ["beta", "horseshoe"]}),
+    ("output_corr", {"widths": [50, 100], "models": ["beta"]}),
+])
+def test_multi_chunk_worker_invariance(tmp_path, command, config):
+    # 1200 replicates are three chunks, each keyed by its own stream
+    _, out1 = _run(tmp_path, command, "--workers", "1",
+                   "--replicates", "1200", config=config)
+    _, out3 = _run(tmp_path, command, "--workers", "3",
+                   "--replicates", "1200", config=config)
+    assert sorted(os.listdir(out1)) == sorted(os.listdir(out3))
+    for name in os.listdir(out1):
+        with open(out1 / name, "rb") as f1, open(out3 / name, "rb") as f3:
+            assert f1.read() == f3.read()
+
+
 def test_kernel_realizations_worker_invariance_at_large_beta(tmp_path):
     # beta(1000, 500) layers: about 16 000 atoms per draw and lazily cached
     # atom floors and inverse tails, which the draws share

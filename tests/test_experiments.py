@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats as st
 
-from levynet.experiments import STANDARD_MODEL_NAMES, standard_models
-from levynet.stats import run_experiment
+from levynet.experiments import (STANDARD_MODEL_NAMES, _batched_outputs,
+                                 standard_models)
+from levynet.rng import RngStream
+from levynet.stats import experiment_names, run_experiment
 
 
 def test_standard_models_registry():
@@ -136,3 +138,90 @@ def test_experiments_deterministic():
     a = run_experiment(spec, 12, 100, worker_count=1)
     b = run_experiment(spec, 12, 100, worker_count=3)
     assert a.to_json() == b.to_json()
+
+
+# ---------------------------------------------------------------------------
+# _batched_outputs: the conditional law over the active ReLU units
+# ---------------------------------------------------------------------------
+
+def _explicit_weights_outputs(model, p, n, seed, d_out):
+    """The reference: n outputs Z_k = sum_j sqrt(lambda_j) relu(g_j) v_jk
+    from explicit variances, pre-activations and read-out weights."""
+    rng = RngStream(seed, 0)
+    gen = rng.generator
+    lam = model.sample(p, rng, p_next=d_out, n=n)
+    sl = np.sqrt(lam) * np.maximum(gen.standard_normal((n, p)), 0.0)
+    return np.stack([np.einsum("ij,ij->i", sl, gen.standard_normal((n, p)))
+                     for _ in range(d_out)], axis=1)
+
+
+@pytest.mark.parametrize("name", ["beta", "horseshoe"])
+def test_batched_outputs_match_explicit_weights_in_law(name):
+    model = standard_models([name])[name]
+    p, n = 200, 4000
+    z = _batched_outputs(model, p, n, 21, 0, 2, d_out=2)
+    ref = _explicit_weights_outputs(model, p, n, 22, d_out=2)
+    for stat in (lambda a: a[:, 0], lambda a: a[:, 1],
+                 lambda a: a[:, 0] ** 2 * a[:, 1] ** 2):
+        assert st.ks_2samp(stat(z), stat(ref)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("name", ["deterministic", "beta"])
+def test_batched_outputs_second_moment(name):
+    # E[Z^2] = p E[lambda] E[relu(g)^2] = p E[lambda] / 2
+    model = standard_models([name])[name]
+    p, n = 200, 20_000
+    mean_lam = 1.0 / p if name == "deterministic" else (1 / p) / (1 / p + 0.5)
+    z2 = _batched_outputs(model, p, n, 23, 0, 1)[:, 0] ** 2
+    z = (z2.mean() - p * mean_lam / 2) / (z2.std() / math.sqrt(n))
+    assert abs(z) <= 4
+
+
+def test_batched_outputs_width_one_half_zero():
+    model = standard_models(["beta"])["beta"]
+    n = 2000
+    z = _batched_outputs(model, 1, n, 24, 0, 1)[:, 0]
+    zero = float(np.mean(z == 0.0))
+    assert abs(zero - 0.5) <= 4 * math.sqrt(0.25 / n)
+    # single-row chunks, some with no active unit: they run and give 0
+    singles = np.array([_batched_outputs(model, 1, 1, 25, i, 1)[0, 0]
+                        for i in range(20)])
+    assert np.any(singles == 0.0) and np.any(singles != 0.0)
+
+
+class _CountingModel:
+    """Delegates to a variance model and records each request's size."""
+
+    def __init__(self, model):
+        self.model = model
+        self.requests = []
+
+    def sample(self, p, rng, p_next=None, n=1):
+        self.requests.append(p * n)
+        return self.model.sample(p, rng, p_next=p_next, n=n)
+
+
+def test_batched_outputs_draw_variances_only_for_active_units():
+    model = _CountingModel(standard_models(["beta"])["beta"])
+    p, n, seed, base = 200, 1200, 26, 7
+    _batched_outputs(model, p, n, seed, base, 1)
+    # each chunk's first draw is its per-row count of active units
+    active = [int(RngStream(seed, base + i).generator
+                  .binomial(p, 0.5, size=rows).sum())
+              for i, rows in enumerate((500, 500, 200))]
+    assert model.requests == [p * -(-k // p) for k in active]
+    assert all(k <= r < k + p for k, r in zip(active, model.requests))
+
+
+@pytest.mark.parametrize("name", sorted(experiment_names()))
+@pytest.mark.parametrize("replicates", [0, -1])
+def test_experiments_reject_nonpositive_replicates(name, replicates):
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        run_experiment(name, 1, replicates)
+
+
+def test_output_dist_names_the_hill_minimum():
+    spec = {"name": "output_dist", "width": 50, "models": ["deterministic"]}
+    with pytest.raises(ValueError, match="at least 200 replicates"):
+        run_experiment(spec, 1, 199)
+    assert run_experiment(spec, 1, 200).estimates

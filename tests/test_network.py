@@ -8,7 +8,8 @@ import pytest
 from scipy import stats as st
 
 from levynet import kernels, network
-from levynet.activations import RELU, TANH, activation_from_name
+from levynet.activations import (RELU, TANH, ActivationKind,
+                                 activation_from_name, leaky_relu)
 from levynet.levy import LevyTriple, atomic_measure
 from levynet.models import make_model
 from levynet.network import (NetworkConfig, _cond_phi_outer, forward,
@@ -241,6 +242,37 @@ def test_relu_conditional_outer_matches_kappa_closed_form():
             rho = min(max(kmat[i, j] / (d[i] * d[j]), -1.0), 1.0)
             expect = d[i] * d[j] * kernels.kappa(1.0, rho) / (2 * math.pi)
             assert abs(got[i, j] - expect) <= 1e-14 * max(1.0, abs(expect))
+
+
+def test_leaky_relu_conditional_outer_closed_form():
+    beta = 0.2
+    act = leaky_relu(beta)
+    got = _cond_phi_outer(np.array([[1.0, 0.3], [0.3, 1.0]]), act, None)
+    # (1.04 kappa_1(0.3) - 0.4 kappa_1(-0.3)) / (2 pi)
+    assert abs(got[0, 1] - 0.2144782) < 1e-7
+    assert np.allclose(np.diag(got), act.c_phi, rtol=0, atol=1e-15)
+
+
+def test_leaky_relu_closed_form_matches_monte_carlo_branch():
+    beta = 0.2
+    act = leaky_relu(beta)
+    # the same activation under a name the closed form does not know takes
+    # the Monte-Carlo branch
+    mc_act = ActivationKind("leaky_relu_mc", act.fn, True, act.c_phi,
+                            beta=beta)
+    a = np.array([0.6, -0.3, 0.2])
+    rows = np.vstack([a, -a, 2.5 * a, np.zeros(3),
+                      [0.1, 0.9, -0.4], [-0.7, 0.2, 0.5]])
+    kmat = rows @ rows.T
+    exact = _cond_phi_outer(kmat, act, None)
+    factor = np.linalg.qr(rows.T, mode="r").T
+    mc = _cond_phi_outer(kmat, mc_act, RngStream(63, 0).generator, factor)
+    # sd(phi(u) phi(v)) <= (E phi(u)^4 E phi(v)^4)^(1/4)
+    #                    = d_i d_j sqrt((3/2) (1 + beta^4))
+    d = np.sqrt(np.diag(kmat))
+    se = (np.outer(d, d) * math.sqrt(1.5 * (1 + beta ** 4))
+          / math.sqrt(network._MC_BUDGET))
+    assert np.all(np.abs(mc - exact) <= 4 * se)
 
 
 def test_limit_requires_homogeneous_activation():
