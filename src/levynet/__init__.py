@@ -15,7 +15,7 @@ from .levy import (LevyTriple, MeasureDescriptor, PointProcessSample,
                    activation_transform, atomic_measure, beta_measure,
                    gamma_measure, gg_pareto_measure, horseshoe_measure,
                    inverse_tail_intensity, mean_mass_below, mix_with_chi2,
-                   moment, sample_id, sample_id_batch, sample_ppp,
+                   moment, sample_id_batch, sample_ppp,
                    stable_measure, tail_intensity, trivial_measure)
 from .models import (MODEL_NAMES, VarianceModel, check_id_conditions,
                      make_model, model_from_spec, sample_variances)
@@ -41,9 +41,8 @@ __all__ = [
     "LevyTriple", "MeasureDescriptor", "PointProcessSample",
     "activation_transform", "atomic_measure", "beta_measure", "gamma_measure",
     "gg_pareto_measure", "horseshoe_measure", "inverse_tail_intensity",
-    "mean_mass_below", "mix_with_chi2", "moment", "sample_id",
-    "sample_id_batch", "sample_ppp", "stable_measure", "tail_intensity",
-    "trivial_measure",
+    "mean_mass_below", "mix_with_chi2", "moment", "sample_id_batch",
+    "sample_ppp", "stable_measure", "tail_intensity", "trivial_measure",
     "MODEL_NAMES", "VarianceModel", "check_id_conditions", "make_model",
     "model_from_spec", "sample_variances",
     "NetworkConfig", "NetworkRealization", "forward", "forward_law",

@@ -118,6 +118,11 @@ def output_dist(config, master_seed, replicates, workers):
         report.add_estimate(f"{name}/std", z.std(),
                             z.std() / math.sqrt(2 * z.size))
         az = np.abs(z[z != 0])
+        if az.size < 200:
+            raise ValueError(
+                f"output_dist: model {name} at width {width} gave only "
+                f"{az.size} nonzero outputs of {replicates}; its Hill tail "
+                f"estimate needs at least 200")
         expo, se = stats.tail_exponent(az, 0.05)
         report.add_estimate(f"{name}/hill_tail_exponent_top5pct", expo, se)
         lo, hi = np.quantile(z, [0.001, 0.999])

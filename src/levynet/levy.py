@@ -19,6 +19,8 @@ from scipy import integrate
 from scipy import special as sp
 
 from .activations import ActivationKind
+from .rng import sample_positive_stable
+from .special import upper_incomplete_gamma
 
 __all__ = [
     "MeasureDescriptor",
@@ -44,7 +46,6 @@ __all__ = [
     "activation_transform",
     "sample_ppp",
     "sample_ppp_matrix",
-    "sample_id",
     "sample_id_batch",
     "default_atom_floor",
 ]
@@ -65,8 +66,14 @@ class MeasureDescriptor:
 
     kind is one of "trivial", "atomic", "analytic".  Atomic measures carry a
     list of (location, mass) pairs.  Analytic measures carry a vectorized tail
-    intensity, optionally a closed-form inverse tail, density, moments,
-    small-mass integral, and power-law metadata at 0 and infinity.
+    intensity and moments, and optionally a closed-form inverse tail, density
+    and small-mass integral.
+
+    stable = (alpha, c) marks the alpha-stable family
+    alpha c^alpha x^{-alpha-1} dx, the horseshoe measure included; the
+    measure algebra and the ID sampler take their closed forms from it.
+    inverse_cache holds (u_max, tabulated inverse tail) and floor_cache the
+    default atom floor once computed; neither takes part in == or repr.
     """
 
     kind: str
@@ -79,11 +86,10 @@ class MeasureDescriptor:
     density_fn: object = None
     moment_fn: object = None          # k -> M_k (may return inf)
     mean_below_fn: object = None      # eps -> int_0^eps x rho(dx)
-    alpha_at_zero: float = None       # rhobar(x) ~ c0 x^{-alpha} as x -> 0
-    zero_constant_c: float = None
-    tau_at_infinity: float = None     # rhobar(x) ~ c x^{-tau} as x -> inf
-    tail_constant_c: float = None
     finite_sampler: object = None     # rng, size -> draws from rho/|rho| (finite measures)
+    stable: tuple = None              # (alpha, c) for the alpha-stable family
+    inverse_cache: tuple = field(default=None, repr=False, compare=False)
+    floor_cache: float = field(default=None, repr=False, compare=False)
 
     @property
     def is_trivial(self):
@@ -247,11 +253,10 @@ class _TabulatedInverse:
 def _get_fast_inverse(m, u_max):
     if m.inverse_tail_fn is not None:
         return m.inverse_tail_fn
-    cache = getattr(m, "_inv_cache", None)
-    if cache is not None and cache[0] >= u_max:
-        return cache[1]
+    if m.inverse_cache is not None and m.inverse_cache[0] >= u_max:
+        return m.inverse_cache[1]
     table = _TabulatedInverse(m, u_max * 1.0000001)
-    m._inv_cache = (u_max, table)
+    m.inverse_cache = (u_max, table)
     return table
 
 
@@ -287,19 +292,14 @@ def stable_measure(alpha, c):
     if not (0 < alpha < 1) or c <= 0:
         raise ValueError("stable measure needs alpha in (0,1), c > 0")
     ca = c**alpha
-
-    def mom(k):
-        return math.inf
-
     return MeasureDescriptor(
         kind="analytic", name="stable", params={"alpha": alpha, "c": c},
         tail_fn=lambda x: ca * np.asarray(x, dtype=float) ** (-alpha),
         inverse_tail_fn=lambda u: c * np.asarray(u, dtype=float) ** (-1.0 / alpha),
         density_fn=lambda x: alpha * ca * np.asarray(x, dtype=float) ** (-alpha - 1.0),
-        moment_fn=mom,
+        moment_fn=lambda k: math.inf,
         mean_below_fn=lambda e: alpha * ca * e ** (1.0 - alpha) / (1.0 - alpha),
-        alpha_at_zero=alpha, zero_constant_c=ca,
-        tau_at_infinity=alpha, tail_constant_c=ca,
+        stable=(alpha, c),
     )
 
 
@@ -327,7 +327,6 @@ def gamma_measure(eta, rate):
         / np.asarray(x, dtype=float),
         moment_fn=mom,
         mean_below_fn=lambda e: eta * (-math.expm1(-rate * e)) / rate,
-        alpha_at_zero=0.0,
     )
 
 
@@ -426,8 +425,12 @@ def beta_measure(eta, b):
         / np.asarray(x, dtype=float),
         moment_fn=mom,
         mean_below_fn=lambda e: eta * (1.0 - (1.0 - min(e, 1.0)) ** b) / b,
-        alpha_at_zero=0.0,
     )
+
+
+# terms of gg_pareto's small-mass series: at e <= 1 the first term left out
+# is at most 1/24! < 2e-24 of the leading one
+_GG_TERMS = 24
 
 
 def gg_pareto_measure(eta, alpha, tau):
@@ -448,9 +451,7 @@ def gg_pareto_measure(eta, alpha, tau):
         small = x < 1e-4
         xs = np.where(small, 0.5, x)
         lower = sp.gammainc(gshape, xs) * math.gamma(gshape)
-        upper_neg = (sp.gammaincc(1.0 - alpha, xs) * g1ma
-                     - xs ** (-alpha) * np.exp(-xs)) / (-alpha)
-        exact = pref * (xs ** (-tau) * lower + upper_neg)
+        exact = pref * (xs ** (-tau) * lower + upper_incomplete_gamma(-alpha, xs))
         # series of x^{-tau} g(tau-a, x) + G(-a, x) around 0:
         # Gamma(-a) + x^{-a} sum_n (-x)^n/n! [1/(gshape+n) - 1/(n-a)]
         xa = np.where(small, x, 0.5)
@@ -461,17 +462,27 @@ def gg_pareto_measure(eta, alpha, tau):
                        + xa ** (3.0 - alpha) * (1.0 / (3.0 - alpha) - 1.0 / (gshape + 3.0)) / 6.0)
         return np.where(small, asym, exact)
 
+    def density(x):
+        x = np.asarray(x, dtype=float)
+        return eta / g1ma * x ** (-1.0 - tau) * sp.gammainc(gshape, x) * math.gamma(gshape)
+
     def mom(k):
         if k >= tau:
             return math.inf
         return eta * math.gamma(k - alpha) / (g1ma * (tau - k))
 
     def mean_below(e):
-        if tau <= 1:
-            return math.inf
-        lo1 = sp.gammainc(1.0 - alpha, e) * g1ma
-        lo2 = sp.gammainc(gshape, e) * math.gamma(gshape)
-        return float(eta / g1ma * (lo1 - e ** (1.0 - tau) * lo2) / (tau - 1.0))
+        if tau >= 1.1:
+            lo1 = sp.gammainc(1.0 - alpha, e) * g1ma
+            lo2 = sp.gammainc(gshape, e) * math.gamma(gshape)
+            return float(eta / g1ma * (lo1 - e ** (1.0 - tau) * lo2) / (tau - 1.0))
+        # the closed form above cancels as tau -> 1; integrate the series
+        # x^{-tau} g(gshape, x) = sum_n (-1)^n x^{n-alpha} / (n! (n+gshape))
+        # term by term up to min(e, 1), and by quadrature beyond 1
+        n = np.arange(_GG_TERMS, dtype=float)
+        head = min(e, 1.0) ** (n + 1.0 - alpha) / ((n + gshape) * (n + 1.0 - alpha))
+        below = float(eta / g1ma * np.sum((-1.0) ** n * head / sp.factorial(n)))
+        return below if e <= 1.0 else below + _quad(lambda x: x * density(x), 1.0, e)
 
     return MeasureDescriptor(
         kind="analytic", name="gg_pareto",
@@ -480,14 +491,8 @@ def gg_pareto_measure(eta, alpha, tau):
         density_fn=lambda x: np.where(
             np.asarray(x, dtype=float) < 1e-6,
             eta / (g1ma * gshape) * np.asarray(x, dtype=float) ** (-1.0 - alpha),
-            eta / g1ma * np.maximum(np.asarray(x, dtype=float), 1e-6) ** (-1.0 - tau)
-            * sp.gammainc(gshape, np.asarray(x, dtype=float)) * math.gamma(gshape)),
+            density(np.maximum(np.asarray(x, dtype=float), 1e-6))),
         moment_fn=mom, mean_below_fn=mean_below,
-        inverse_tail_fn=None,
-        alpha_at_zero=alpha,
-        zero_constant_c=eta / (g1ma * alpha * (tau - alpha)),
-        tau_at_infinity=tau,
-        tail_constant_c=eta * math.gamma(tau - alpha) / (tau * g1ma),
     )
 
 
@@ -518,27 +523,35 @@ def scaled_stable_beta_measure(c):
                               / (math.pi * np.sqrt(1.0 - np.asarray(x, dtype=float) / c2))),
         moment_fn=mom,
         mean_below_fn=lambda e: 2.0 * c / math.pi * math.asin(min(math.sqrt(e) / c, 1.0)),
-        alpha_at_zero=0.5, zero_constant_c=2.0 / math.pi,
     )
 
 
 def finite_measure(total_mass, survival, sampler=None, density=None,
                    mean_fn=None, name="finite", params=None, support=(0.0, math.inf)):
     """A finite measure c*H given by its total mass and the survival function
-    of the normalized probability law H, plus an optional exact sampler."""
+    of the normalized probability law H, plus an optional exact sampler.
+    Moments integrate x^k against the density, or k x^{k-1} against the
+    survival function when no density is given."""
     if total_mass <= 0:
         raise ValueError("total mass must be > 0")
 
     def mom(k):
-        return math.nan if density is None else total_mass * _quad(
-            lambda x: np.asarray(x) ** k * density(x), support[0], support[1])
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = (k * x ** (k - 1) * survival(x) if density is None
+                     else x ** k * density(x))
+            # x^k overflows only at the far end of the quadrature, where H
+            # has no mass left: inf * 0 counts as 0 there
+            return np.nan_to_num(v, nan=0.0, posinf=math.inf)
+        return total_mass * _quad(f, support[0], support[1])
 
     return MeasureDescriptor(
         kind="analytic", name=name, params=params or {},
         support=support,
         tail_fn=lambda x: total_mass * np.asarray(survival(x), dtype=float),
         density_fn=None if density is None else (lambda x: total_mass * density(x)),
-        moment_fn=None if density is None else mom,
+        moment_fn=mom,
         mean_below_fn=mean_fn,
         finite_sampler=sampler,
     )
@@ -556,17 +569,9 @@ def scale_mass(m, factor):
         return trivial_measure()
     if m.kind == "atomic":
         return atomic_measure([(x, w * factor) for x, w in m.atoms], name=m.name)
-    if m.name == "stable" or m.name == "horseshoe":
-        alpha = m.params.get("alpha", 0.5)
-        c = m.params["c"]
+    if m.stable is not None:
+        alpha, c = m.stable
         return stable_measure(alpha, c * factor ** (1.0 / alpha))
-    if m.name == "gamma":
-        return gamma_measure(m.params["eta"] * factor, m.params["rate"])
-    if m.name == "beta":
-        return beta_measure(m.params["eta"] * factor, m.params["b"])
-    if m.name == "gg_pareto":
-        return gg_pareto_measure(m.params["eta"] * factor,
-                                 m.params["alpha"], m.params["tau"])
     tail0, inv0, dens0 = m.tail_fn, m.inverse_tail_fn, m.density_fn
     mom0, mb0 = m.moment_fn, m.mean_below_fn
     return MeasureDescriptor(
@@ -579,10 +584,6 @@ def scale_mass(m, factor):
         density_fn=None if dens0 is None else (lambda x: factor * dens0(x)),
         moment_fn=None if mom0 is None else (lambda k: factor * mom0(k)),
         mean_below_fn=None if mb0 is None else (lambda e: factor * mb0(e)),
-        alpha_at_zero=m.alpha_at_zero,
-        zero_constant_c=None if m.zero_constant_c is None else factor * m.zero_constant_c,
-        tau_at_infinity=m.tau_at_infinity,
-        tail_constant_c=None if m.tail_constant_c is None else factor * m.tail_constant_c,
     )
 
 
@@ -594,10 +595,9 @@ def dilate(m, s):
         return trivial_measure()
     if m.kind == "atomic":
         return atomic_measure([(x * s, w) for x, w in m.atoms], name=m.name)
-    if m.name == "stable" or m.name == "horseshoe":
-        return stable_measure(m.params.get("alpha", 0.5), m.params["c"] * s)
-    if m.name == "gamma":
-        return gamma_measure(m.params["eta"], m.params["rate"] / s)
+    if m.stable is not None:
+        alpha, c = m.stable
+        return stable_measure(alpha, c * s)
     tail0, inv0, dens0 = m.tail_fn, m.inverse_tail_fn, m.density_fn
     mom0, mb0 = m.moment_fn, m.mean_below_fn
     return MeasureDescriptor(
@@ -610,12 +610,6 @@ def dilate(m, s):
         (lambda x: dens0(np.asarray(x, dtype=float) / s) / s),
         moment_fn=None if mom0 is None else (lambda k: s**k * mom0(k)),
         mean_below_fn=None if mb0 is None else (lambda e: s * mb0(e / s)),
-        alpha_at_zero=m.alpha_at_zero,
-        zero_constant_c=None if m.zero_constant_c is None
-        else m.zero_constant_c * s**m.alpha_at_zero,
-        tau_at_infinity=m.tau_at_infinity,
-        tail_constant_c=None if m.tail_constant_c is None
-        else m.tail_constant_c * s**m.tau_at_infinity,
     )
 
 
@@ -627,31 +621,15 @@ def add_measures(m1, m2):
         return m1
     if m1.kind == "atomic" and m2.kind == "atomic":
         return atomic_measure(list(m1.atoms) + list(m2.atoms))
-    if (m1.name == "stable" and m2.name == "stable"
-            and m1.params["alpha"] == m2.params["alpha"]):
-        a = m1.params["alpha"]
-        c = (m1.params["c"] ** a + m2.params["c"] ** a) ** (1.0 / a)
-        return stable_measure(a, c)
+    if m1.stable is not None and m2.stable is not None \
+            and m1.stable[0] == m2.stable[0]:
+        a = m1.stable[0]
+        return stable_measure(a, (m1.stable[1] ** a + m2.stable[1] ** a) ** (1.0 / a))
     t1, t2 = m1.tail_fn, m2.tail_fn
     if m1.kind == "atomic":
         t1 = lambda x: tail_intensity(m1, x)
     if m2.kind == "atomic":
         t2 = lambda x: tail_intensity(m2, x)
-    mom1 = (lambda k: moment(m1, k))
-    mom2 = (lambda k: moment(m2, k))
-
-    def tau_meta():
-        taus = [t for t in (m1.tau_at_infinity, m2.tau_at_infinity) if t is not None]
-        if not taus:
-            return None, None
-        tau = min(taus)
-        c = 0.0
-        for mm in (m1, m2):
-            if mm.tau_at_infinity == tau and mm.tail_constant_c is not None:
-                c += mm.tail_constant_c
-        return tau, (c if c > 0 else None)
-
-    tau, tc = tau_meta()
     return MeasureDescriptor(
         kind="analytic", name=f"sum({m1.name},{m2.name})",
         params={"left": m1.to_dict(), "right": m2.to_dict()},
@@ -659,11 +637,8 @@ def add_measures(m1, m2):
         tail_fn=lambda x: t1(x) + t2(x),
         density_fn=None if (m1.density_fn is None or m2.density_fn is None)
         else (lambda x: m1.density_fn(x) + m2.density_fn(x)),
-        moment_fn=lambda k: mom1(k) + mom2(k),
+        moment_fn=lambda k: moment(m1, k) + moment(m2, k),
         mean_below_fn=lambda e: mean_mass_below(m1, e) + mean_mass_below(m2, e),
-        alpha_at_zero=max(a for a in (m1.alpha_at_zero, m2.alpha_at_zero, 0.0)
-                          if a is not None),
-        tau_at_infinity=tau, tail_constant_c=tc,
     )
 
 
@@ -706,13 +681,12 @@ def inverse_tail_intensity(m, u):
         out = np.zeros_like(u_arr)
         for loc, t in zip(locs[::-1], tails[::-1]):
             out = np.where(u_arr <= t, loc, out)
-    elif m.inverse_tail_fn is not None:
-        out = np.minimum(np.asarray(m.inverse_tail_fn(u_arr), dtype=float),
-                         m.support[1])
-        out = np.maximum(out, 0.0)
     else:
-        out = np.array([_bisect_tail(m.tail_fn, float(ui), m.support)
-                        for ui in u_arr])
+        if m.inverse_tail_fn is not None:
+            out = np.clip(np.asarray(m.inverse_tail_fn(u_arr), dtype=float), 0.0, m.support[1])
+        else:
+            out = np.array([_bisect_tail(m.tail_fn, float(ui), m.support) for ui in u_arr])
+        # past the total mass (rhobar(1e-300) for an infinite measure) the inverse is 0
         mass0 = m.total_mass()
         out = np.where(u_arr > mass0, 0.0, out) if math.isfinite(mass0) else out
     return float(out[0]) if scalar else out
@@ -724,28 +698,7 @@ def moment(m, k):
         raise ValueError("k must be a positive integer")
     if m.kind == "trivial":
         return 0.0
-    if m.kind == "atomic":
-        return float(sum(w * x**k for x, w in m.atoms))
-    if m.tau_at_infinity is not None and m.tau_at_infinity <= k \
-            and m.support[1] == math.inf:
-        return math.inf
-    if m.moment_fn is not None:
-        val = m.moment_fn(k)
-        if not (isinstance(val, float) and math.isnan(val)):
-            return float(val)
-    # quadrature of k x^{k-1} rhobar(x), capped where the tail is negligible
-    hi = m.support[1]
-    remainder = 0.0
-    if hi == math.inf:
-        hi = _bisect_tail(m.tail_fn, 1e-24, m.support)
-        if not math.isfinite(hi):
-            return math.inf
-        if m.tau_at_infinity is not None and m.tail_constant_c is not None \
-                and m.tau_at_infinity > k:
-            tau, c = m.tau_at_infinity, m.tail_constant_c
-            remainder = k * c * hi ** (k - tau) / (tau - k)
-    return _quad(lambda x: k * np.asarray(x) ** (k - 1) * m.tail_fn(x),
-                 m.support[0], hi) + remainder
+    return float(m.moment_fn(k))
 
 
 def mean_mass_below(m, eps):
@@ -753,8 +706,6 @@ def mean_mass_below(m, eps):
     below a truncation threshold."""
     if m.kind == "trivial":
         return 0.0
-    if m.kind == "atomic":
-        return float(sum(w * x for x, w in m.atoms if x <= eps))
     if m.mean_below_fn is not None:
         return float(m.mean_below_fn(eps))
     eps = min(eps, m.support[1])
@@ -808,8 +759,7 @@ def _chi2_mix_rule(base_tail, hi, x, density):
 def mix_with_chi2(m):
     """The measure nu with nubar(x) = int_0^inf rhobar(x/z) chi2_1(z) dz — the
     Levy measure of the sum of squared weights when the node variances have
-    Levy measure rho.  Power-law exponents are preserved; a power-law constant
-    at either end is multiplied by 2^t Gamma(t + 1/2) / sqrt(pi).
+    Levy measure rho.
 
     Stable (and horseshoe) measures map to stable measures in closed form and
     atomic ones to finite sums of scaled chi-square laws.  Otherwise nubar is a
@@ -833,9 +783,8 @@ def mix_with_chi2(m):
     and beta measures with b in {0.3, 1/2, 1, 1.5, 2, 2.7, 3, 5, 7.3}."""
     if m.kind == "trivial":
         return trivial_measure()
-    if m.name in ("stable", "horseshoe"):
-        a = m.params.get("alpha", 0.5)
-        c = m.params["c"]
+    if m.stable is not None:
+        a, c = m.stable
         return stable_measure(a, c * _chi2_moment(a) ** (1.0 / a))
     if m.kind == "atomic":
         atoms = m.atoms
@@ -862,19 +811,12 @@ def mix_with_chi2(m):
         )
 
     base_tail, hi = m.tail_fn, m.support[1]
-    tau = m.tau_at_infinity
     return MeasureDescriptor(
         kind="analytic", name=f"chi2mix({m.name})", params={"base": m.params},
         support=(0.0, math.inf),
         tail_fn=lambda x: _chi2_mix_rule(base_tail, hi, x, density=False),
         density_fn=lambda x: _chi2_mix_rule(base_tail, hi, x, density=True),
         moment_fn=lambda k: moment(m, k) * _chi2_moment(k),
-        alpha_at_zero=m.alpha_at_zero,
-        zero_constant_c=None if m.zero_constant_c is None or m.alpha_at_zero is None
-        else m.zero_constant_c * _chi2_moment(m.alpha_at_zero),
-        tau_at_infinity=tau,
-        tail_constant_c=None if m.tail_constant_c is None or tau is None
-        else m.tail_constant_c * _chi2_moment(tau),
     )
 
 
@@ -922,17 +864,15 @@ def default_atom_floor(m):
     point is computed once and cached on the descriptor."""
     if m.kind != "analytic":
         return 0.0
-    cached = getattr(m, "_floor_cache", None)
-    if cached is not None:
-        return cached
+    if m.floor_cache is not None:
+        return m.floor_cache
     mass = m.total_mass()
     u_ref = 1.0 if not math.isfinite(mass) or mass > 1.0 else 0.5 * mass
     ref = inverse_tail_intensity(m, u_ref)
     if ref <= 0:
         ref = m.support[1] if math.isfinite(m.support[1]) else 1.0
-    floor = DEFAULT_FLOOR_REL * ref
-    m._floor_cache = floor
-    return floor
+    m.floor_cache = DEFAULT_FLOOR_REL * ref
+    return m.floor_cache
 
 
 def _finite_counts_and_draws(m, rng, n):
@@ -948,6 +888,60 @@ def _finite_counts_and_draws(m, rng, n):
     counts = gen.poisson(total, size=n)
     draws = np.asarray(m.finite_sampler(rng, int(counts.sum())), dtype=float)
     return counts, draws
+
+
+# exponentials per block of the series sampler
+_SERIES_CHUNK = 2e7
+
+
+def _atom_series(m, rng, n, atom_floor, sums):
+    """n draws of the inverse-Levy-measure series of the analytic measure m
+    truncated at atom_floor (Ferguson and Klass 1972; Rosinski 2001): atoms
+    rhobar^{-1}(G_1) > rhobar^{-1}(G_2) > ... for the arrival times
+    G_k <= rhobar(atom_floor) of a unit-rate Poisson process.  Each chunk of
+    at most 2e7 exponentials is a (rows, J) block, J a ten-sigma bound on the
+    atom count, cumulated along rows and mapped through the inverse tail; a
+    row whose block ends at or below rhobar(atom_floor) is then extended one
+    exponential at a time, in row order.  Returns the n row sums (sums=True)
+    or the rows as an (n, width) array padded with zeros, width = J or the
+    longest extended row."""
+    if atom_floor <= 0:
+        raise ValueError("atom_floor must be > 0 for infinite-activity measures")
+    mass = float(tail_intensity(m, atom_floor))
+    inv = _get_fast_inverse(m, mass * (1 + 1e-9) + 1e-12)
+    gen = rng.generator
+    ncols = int(mass + 10.0 * math.sqrt(mass + 1.0) + 20.0)
+    rows_per_chunk = max(int(_SERIES_CHUNK / ncols), 1)
+    pieces, extended = [], []
+    for start in range(0, max(n, 1), rows_per_chunk):
+        g = gen.standard_exponential((min(rows_per_chunk, n - start), ncols)).cumsum(axis=1)
+        active = g <= mass
+        vals = np.zeros_like(g)
+        vals[active] = inv(g[active])
+        for i in np.flatnonzero(active[:, -1]):
+            last, extra = g[i, -1], []
+            while (last := last + gen.standard_exponential()) <= mass:
+                extra.append(float(inv(last)))
+            extended.append((start + i, extra))
+        pieces.append(vals.sum(axis=1) if sums else vals)
+    out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    if sums:
+        for i, extra in extended:
+            for x in extra:
+                out[i] += x
+        return out
+    width = max((len(extra) for _, extra in extended), default=0)
+    if width:
+        out = np.pad(out, ((0, 0), (0, width)))
+        for i, extra in extended:
+            out[i, ncols:ncols + len(extra)] = extra
+    return out
+
+
+def _compensation(m, atom_floor):
+    """int_0^atom_floor x rho(dx), the mean of the dropped atoms, when
+    M1 < inf; inf (no compensation) otherwise."""
+    return float(mean_mass_below(m, atom_floor)) if moment(m, 1) < math.inf else math.inf
 
 
 def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
@@ -968,32 +962,8 @@ def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
         return out, 0.0, 0.0
     if atom_floor is None:
         atom_floor = default_atom_floor(m)
-    if atom_floor <= 0:
-        raise ValueError("atom_floor must be > 0 for infinite-activity measures")
-    mass = float(tail_intensity(m, atom_floor))
-    inv = _get_fast_inverse(m, mass * (1 + 1e-9) + 1e-12)
-    gen = rng.generator
-    ncols = int(mass + 10.0 * math.sqrt(mass + 1.0) + 20.0)
-    out = np.zeros((n, ncols))
-    g = gen.standard_exponential((n, ncols)).cumsum(axis=1)
-    active = g <= mass
-    # rows where even the last column is still active are extended serially
-    overflow = np.where(active[:, -1])[0]
-    out[active] = inv(g[active])
-    for i in overflow:
-        extra = []
-        last = g[i, -1]
-        while True:
-            last += gen.standard_exponential()
-            if last > mass:
-                break
-            extra.append(float(inv(last)))
-        if extra:
-            pad = np.zeros((n, len(extra)))
-            pad[i] = extra
-            out = np.concatenate([out, pad], axis=1)
-    mean_below = mean_mass_below(m, atom_floor) if moment(m, 1) < math.inf else math.inf
-    return out, float(atom_floor), float(mean_below)
+    atoms = _atom_series(m, rng, n, atom_floor, sums=False)
+    return atoms, float(atom_floor), _compensation(m, atom_floor)
 
 
 def sample_ppp(m, rng, atom_floor=None):
@@ -1005,59 +975,21 @@ def sample_ppp(m, rng, atom_floor=None):
                               truncated_mean_mass=mean_below)
 
 
-def _truncated_atom_sums(m, rng, n, atom_floor):
-    """Row sums of n point-process draws truncated at atom_floor, computed in
-    row chunks so heavy measures (many atoms per draw) stay within memory."""
-    mass = float(tail_intensity(m, atom_floor))
-    inv = _get_fast_inverse(m, mass * (1 + 1e-9) + 1e-12)
-    gen = rng.generator
-    ncols = int(mass + 10.0 * math.sqrt(mass + 1.0) + 20.0)
-    rows_per_chunk = max(int(2e7 / ncols), 1)
-    sums = np.empty(n)
-    done = 0
-    while done < n:
-        k = min(rows_per_chunk, n - done)
-        g = gen.standard_exponential((k, ncols)).cumsum(axis=1)
-        active = g <= mass
-        vals = np.zeros_like(g)
-        vals[active] = inv(g[active])
-        s = vals.sum(axis=1)
-        for i in np.where(active[:, -1])[0]:
-            last = g[i, -1]
-            while True:
-                last += gen.standard_exponential()
-                if last > mass:
-                    break
-                s[i] += float(inv(last))
-        sums[done:done + k] = s
-        done += k
-    return sums
-
-
 def sample_id_batch(t, rng, n, atom_floor=None):
     """n draws of ID(a, rho): location + atom sums + deterministic
-    compensation of the truncated small-atom mass when M1 < inf."""
+    compensation of the truncated small-atom mass when M1 < inf.  A stable
+    measure at the default floor takes the exact positive-stable sampler."""
     m = t.measure
     if m.kind == "trivial":
         return np.full(n, t.location_a, dtype=float)
     if m.kind == "atomic" or m.finite_sampler is not None:
         atoms, _, _ = sample_ppp_matrix(m, rng, atom_floor, n=n)
         return t.location_a + atoms.sum(axis=1)
-    if m.name in ("stable", "horseshoe") and atom_floor is None:
-        # the total atom mass of a stable measure (the horseshoe's is the
-        # 1/2-stable one) has an exact sampler
-        from .rng import sample_positive_stable
-        draws = sample_positive_stable(m.params.get("alpha", 0.5), m.params["c"],
-                                       rng, n)
+    if m.stable is not None and atom_floor is None:
+        draws = sample_positive_stable(*m.stable, rng, n)
         return t.location_a + np.atleast_1d(np.asarray(draws, dtype=float))
     if atom_floor is None:
         atom_floor = default_atom_floor(m)
-    sums = _truncated_atom_sums(m, rng, n, atom_floor)
-    mean_below = mean_mass_below(m, atom_floor) if moment(m, 1) < math.inf else math.inf
-    comp = mean_below if math.isfinite(mean_below) else 0.0
-    return t.location_a + sums + comp
-
-
-def sample_id(t, rng, atom_floor=None):
-    """A single draw of ID(a, rho)."""
-    return float(sample_id_batch(t, rng, 1, atom_floor)[0])
+    sums = _atom_series(m, rng, n, atom_floor, sums=True)
+    comp = _compensation(m, atom_floor)
+    return t.location_a + sums + (comp if math.isfinite(comp) else 0.0)

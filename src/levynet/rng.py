@@ -11,6 +11,8 @@ import math
 import numpy as np
 from scipy import special as sp
 
+from .special import upper_incomplete_gamma
+
 __all__ = [
     "RngStream",
     "sample_std_normal",
@@ -154,14 +156,6 @@ def sample_etbfry(alpha, t, xi, rng, size=None):
     return gen.gamma(1.0 - alpha, size=size) / b
 
 
-def _upper_gamma_neg(alpha, x):
-    # Gamma(-alpha, x) for alpha in (0,1), x > 0, via the downward recurrence
-    # Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s with s = -alpha.
-    x = np.asarray(x, dtype=float)
-    g1 = sp.gammaincc(1.0 - alpha, x) * sp.gamma(1.0 - alpha)
-    return (g1 - x ** (-alpha) * np.exp(-x)) / (-alpha)
-
-
 def etbfry_tail(s, alpha, t, xi):
     """Survival function P(S > s) of the exponentially tilted BFRY law.
 
@@ -173,8 +167,8 @@ def etbfry_tail(s, alpha, t, xi):
     using the upper incomplete gamma function with negative parameter.
     """
     s = np.asarray(s, dtype=float)
-    num = xi**alpha * _upper_gamma_neg(alpha, xi * s) \
-        - (t + xi) ** alpha * _upper_gamma_neg(alpha, (t + xi) * s)
+    num = xi**alpha * upper_incomplete_gamma(-alpha, xi * s) \
+        - (t + xi) ** alpha * upper_incomplete_gamma(-alpha, (t + xi) * s)
     den = sp.gamma(1.0 - alpha) * ((t + xi) ** alpha - xi**alpha)
     return alpha * num / den
 

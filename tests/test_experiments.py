@@ -225,3 +225,11 @@ def test_output_dist_names_the_hill_minimum():
     with pytest.raises(ValueError, match="at least 200 replicates"):
         run_experiment(spec, 1, 199)
     assert run_experiment(spec, 1, 200).estimates
+
+
+def test_output_dist_names_model_and_width_when_outputs_are_zero():
+    # at width 1 about half of the outputs are exactly 0 (the one ReLU unit
+    # is inactive), too few nonzero ones for the Hill estimate
+    spec = {"name": "output_dist", "width": 1, "models": ["beta"]}
+    with pytest.raises(ValueError, match="model beta at width 1 gave only"):
+        run_experiment(spec, 1, 300)

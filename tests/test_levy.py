@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy import integrate
+from scipy import special as sp
 from scipy import stats as st
 
 from levynet import levy
@@ -21,6 +22,7 @@ from levynet.levy import (LevyTriple, atomic_measure, beta_measure,
                           scaled_stable_beta_measure, stable_measure,
                           tail_intensity, trivial_measure, add_measures,
                           activation_transform)
+from levynet.models import make_model
 from levynet.rng import RngStream, sample_positive_stable
 from levynet.stats import ks_distance
 
@@ -100,6 +102,13 @@ def test_moments_vs_quadrature(name):
         assert abs(val - oracle) < 1e-5 * max(1.0, oracle)
 
 
+def test_finite_measure_moments_without_density():
+    # a unit-rate exponential law of total mass 2: M_k = 2 k!
+    m = levy.finite_measure(2.0, lambda x: np.exp(-np.asarray(x, dtype=float)))
+    assert abs(moment(m, 1) - 2.0) < 1e-9
+    assert abs(moment(m, 3) - 12.0) < 1e-8
+
+
 def test_infinite_moments():
     assert moment(stable_measure(0.5, 1.0), 1) == math.inf
     assert moment(gg_pareto_measure(4.0, 0.5, 5.0), 5) == math.inf
@@ -114,6 +123,32 @@ def test_mean_mass_below_vs_quadrature(name):
                                    0.0, eps, epsabs=1e-12, epsrel=1e-11,
                                    limit=400)
         assert abs(mean_mass_below(m, eps) - oracle) < 1e-7 * max(1.0, oracle)
+
+
+def _gg_pareto_mean_below_by_quadrature(eta, alpha, tau, e):
+    # int_0^e x rho(dx) = eta / Gamma(1-alpha) int_0^e x^{-tau} g(tau-alpha, x) dx
+    # in y = log x, where the integrand is smooth and decays at -inf
+    s = tau - alpha
+    val, _ = integrate.quad(
+        lambda y: np.exp(y * (1.0 - tau)) * sp.gammainc(s, np.exp(y)) * math.gamma(s),
+        -150.0, math.log(e), epsabs=0.0, epsrel=2e-14, limit=500)
+    return eta / math.gamma(1.0 - alpha) * val
+
+
+@pytest.mark.parametrize("tau", [0.8, 1.0, 1.0 + 1e-9, 1.05, 1.2, 5.0])
+def test_gg_pareto_mean_below_through_tau_one(tau):
+    m = gg_pareto_measure(1.0, 0.5, tau)
+    for e in (1e-8, 0.1, 1.0, 2.0):
+        oracle = _gg_pareto_mean_below_by_quadrature(1.0, 0.5, tau, e)
+        assert abs(mean_mass_below(m, e) / oracle - 1.0) < 1e-12
+
+
+def test_gg_pareto_with_tau_at_most_one_constructs():
+    assert abs(mean_mass_below(gg_pareto_measure(1.0, 0.5, 0.8), 0.1)
+               - 1.18041932764) < 1e-11
+    for tau in (0.8, 1.0):
+        model = make_model("generalized_bfry", eta=1, alpha=0.5, tau=tau)
+        assert moment(model.limit.measure, 1) == math.inf
 
 
 def test_atomic_measure_tail_and_inverse():
@@ -238,8 +273,13 @@ def test_add_measures_superposition():
     m2 = stable_measure(0.5, 2.0)
     s = add_measures(m1, m2)
     # stable + stable of the same index is stable with c = (c1^a + c2^a)^{1/a}
-    assert s.name == "stable"
+    assert s.name == "stable" and s.stable[0] == 0.5
     assert abs(s.params["c"] - (1.0 + 2.0 ** 0.5) ** 2.0) < 1e-12
+    assert s.stable[1] == s.params["c"]
+    # the horseshoe is the 1/2-stable family under another name
+    s2 = add_measures(horseshoe_measure(1.0), m2)
+    assert s2.stable == s.stable
+    assert add_measures(stable_measure(0.7, 1.0), m2).stable is None
     mixed = add_measures(gamma_measure(1.0, 1.0), beta_measure(1.0, 0.5))
     xs = np.geomspace(0.01, 0.9, 7)
     assert np.allclose(
@@ -255,6 +295,23 @@ def test_mix_with_chi2_stable_closed_form():
     assert mixed.name == "stable"
     expect_c = (2.0 ** 0.5 * math.gamma(1.0) / math.sqrt(math.pi)) ** 2.0
     assert abs(mixed.params["c"] - expect_c) < 1e-12
+    assert mixed.stable == (0.5, mixed.params["c"])
+    assert mix_with_chi2(horseshoe_measure(1.0)).stable == mixed.stable
+    assert mix_with_chi2(gamma_measure(1.0, 1.0)).stable is None
+
+
+@pytest.mark.parametrize("act", [RELU, LINEAR, leaky_relu(0.2)],
+                         ids=lambda a: a.name)
+@pytest.mark.parametrize("name,params", [("horseshoe", {"c": 1.0}),
+                                         ("inverse_gamma_stable", {"alpha": 0.7})])
+def test_stable_limits_stay_stable_under_activation(name, params, act):
+    # scale_mass, dilate, add_measures and mix_with_chi2 keep the stable
+    # family, so the transformed limit takes the exact positive-stable sampler
+    c, eta = activation_transform(make_model(name, **params).limit, act)
+    assert c == 0.0 and eta.stable is not None
+    draws = sample_id_batch(LevyTriple(c, eta), RngStream(48, 0), 300)
+    exact = sample_positive_stable(*eta.stable, RngStream(48, 0), 300)
+    assert np.array_equal(draws, exact)
 
 
 def test_mix_with_chi2_tail_quadrature():
@@ -399,6 +456,28 @@ def test_sample_ppp_atoms_sorted_and_floored():
 def test_sample_ppp_uncompensated_flag_for_infinite_mean():
     pp = sample_ppp(stable_measure(0.5, 1.0), RngStream(32, 0), atom_floor=1e-3)
     assert pp.uncompensated
+
+
+class _OverflowStream:
+    """A stand-in stream: every exponential of a block is 1e-6 and every
+    scalar one 0.4, so each row of the series sampler's block ends below the
+    mass and is extended one exponential at a time."""
+
+    class generator:
+        @staticmethod
+        def standard_exponential(size=None):
+            return 0.4 if size is None else np.full(size, 1e-6)
+
+
+def test_series_sampler_extends_overflow_rows_in_place():
+    m = gamma_measure(1.0, 1.0)
+    atoms, floor, below = sample_ppp_matrix(m, _OverflowStream(), atom_floor=0.5, n=3)
+    # each row: the block's atoms, then its own serial ones, with no zeros
+    # in between and none after
+    assert np.all(atoms > 0) and np.all(np.diff(atoms, axis=1) < 0)
+    assert np.all(atoms >= floor)
+    sums = sample_id_batch(LevyTriple(0.0, m), _OverflowStream(), 3, atom_floor=0.5)
+    assert np.allclose(sums, atoms.sum(axis=1) + below, rtol=1e-14, atol=0.0)
 
 
 def test_ppp_counts_above_threshold_poisson():
