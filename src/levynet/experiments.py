@@ -8,15 +8,33 @@ sweep, random kernel realisations, and compressibility ratios.  Replicates are
 processed in fixed-size chunks keyed by chunk index, so results are identical
 for any worker count.
 
+An experiment's independent cells, each reading only its own
+RngStream(master_seed, k) keys, go to one `stats.map_replicates` call, so
+`workers` threads share them; the report is assembled in cell order after.
+A cell is
+  - output_dist, output_corr and max_weight: one chunk of up to 500 replicate
+    rows of one model (for output_corr, of one (model, width));
+  - compressibility: one (model, width), with its mass ratio, paired pruning
+    error and E[Z^2] denominator (whose helpers run with workers=1, so no
+    pool runs inside a pool thread);
+  - verify: the convergence checks of one model.
+truncation_error fans out only the chunks of each alpha in turn: its
+thin-panel QR factors contend for the cores when its alphas run at once.
+kernel_realizations draws serially (see its docstring).  A running cell holds
+one variance array (its rows' variances, built in place by the samplers; two
+for the generalized BFRY's product) plus blocks of at most 65 536 draws, so
+`workers` cells at once need about `workers` variance arrays.
+
 The one-hidden-layer outputs (output_dist, output_corr and the E[Z^2]
 denominator of compressibility) come from their exact conditional law: given
 the variances and pre-activations the output is N(0, sum_j lambda_j
 relu(g_j)^2), and ReLU zeroes each unit independently with probability 1/2,
 so each replicate draws a Binomial(p, 1/2) count of active units, that many
-variances and squared normals, and d_out normals (`_batched_outputs`).
+variances and squared normals, and d_out normals (`_output_chunk`).
 """
 
 import math
+from functools import partial
 
 import numpy as np
 from scipy import special as sp
@@ -36,6 +54,8 @@ STANDARD_MODEL_NAMES = ("deterministic", "inverse_gamma", "beta", "horseshoe",
                         "generalized_bfry")
 
 _CHUNK = 500
+# squared normals per block in `_row_sums`
+_ROW_BLOCK = 1 << 16
 
 
 def standard_models(names=None):
@@ -61,43 +81,89 @@ def standard_models(names=None):
     return out
 
 
-def _batched_outputs(model, p, n, master_seed, stream_base, workers,
-                     d_out=1):
-    """n draws of the width-p one-hidden-layer ReLU outputs for a unit input,
-    shape (n, d_out), from their conditional law over the active units.
+def _chunks(n):
+    """Row counts of the replicate chunks of n rows: _CHUNK each, the last
+    one shorter."""
+    n = int(n)
+    return [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
+
+
+def _map_cells(cells, workers):
+    """Call each zero-argument cell, spread over `workers` threads, and
+    return the results in cell order."""
+    return stats.map_replicates(lambda k: cells[k](), len(cells), workers)
+
+
+def _map_chunks(jobs, n, master_seed, workers):
+    """For each job (fn, stream_base), fn(rows, rng) over the replicate
+    chunks of n rows, chunk i reading RngStream(master_seed, stream_base + i),
+    concatenated along the rows.  The chunks of every job are cells of one
+    fan-out."""
+    sizes = _chunks(n)
+    parts = _map_cells([partial(fn, rows, RngStream(master_seed, base + i))
+                        for fn, base in jobs for i, rows in enumerate(sizes)],
+                       workers)
+    k = len(sizes)
+    return [np.concatenate(parts[j * k:(j + 1) * k]) for j in range(len(jobs))]
+
+
+def _row_sums(gen, lam, active):
+    """S_r = sum over the active units of row r of lambda chi-square(1): the
+    units' variances are consecutive in lam, and their squared normals are
+    drawn in blocks of whole rows, at most _ROW_BLOCK of them unless one row
+    alone is longer.  Each row is summed by one np.bincount, in draw order,
+    so S does not depend on the block size; a row with no active unit
+    gets 0.  (np.add.reduceat would sum pairwise, moving S in its last bits,
+    and mishandles empty rows.)"""
+    rows = active.size
+    step = max(1, _ROW_BLOCK // max(1, int(active.max(initial=0))))
+    s = np.empty(rows)
+    pos = 0
+    for r in range(0, rows, step):
+        counts = active[r:r + step]
+        stop = pos + int(counts.sum())
+        chi2 = gen.standard_normal(stop - pos)
+        chi2 **= 2
+        chi2 *= lam[pos:stop]
+        s[r:r + step] = np.bincount(np.repeat(np.arange(counts.size), counts),
+                                    weights=chi2, minlength=counts.size)
+        pos = stop
+    return s
+
+
+def _output_chunk(model, p, d_out, rows, rng):
+    """`rows` draws of the width-p one-hidden-layer ReLU outputs for a unit
+    input, shape (rows, d_out), from their conditional law over the active
+    units.
 
     Z_k = sum_j sqrt(lambda_j) relu(g_j) v_jk is, given lambda and g, exactly
     N(0, S) in each coordinate, independently, with S = sum_j lambda_j
     relu(g_j)^2.  Each unit is active (g_j > 0) independently with probability
     1/2, and then relu(g_j)^2 is chi-square(1); the inactive units' variances
-    never enter S.  So chunk i, from RngStream(master_seed, stream_base + i),
-    draws for its rows:
+    never enter S.  So the chunk draws from rng:
       1. K ~ Binomial(p, 1/2) active units per row;
       2. ceil(sum K / p) rows of mu_p (the entries are iid), flattened and
          cut to sum K variances;
-      3. sum K standard normals, squared;
+      3. sum K standard normals, squared (`_row_sums`);
       4. the per-row sums S (0 for a row with K = 0);
       5. Z = sqrt(S) times a (rows, d_out) block of standard normals.
     That is about p/2 variances and p/2 + d_out normals per row, against p
     and p (1 + d_out) for the weights themselves."""
-    n = int(n)
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
+    gen = rng.generator
+    active = gen.binomial(p, 0.5, size=rows)
+    total = int(active.sum())
+    lam = model.sample(p, rng, p_next=d_out, n=-(-total // p)).ravel()[:total]
+    s = _row_sums(gen, lam, active)
+    return np.sqrt(s)[:, None] * gen.standard_normal((rows, d_out))
 
-    def one_chunk(i):
-        rng = RngStream(master_seed, stream_base + i)
-        gen = rng.generator
-        rows = min(_CHUNK, n - i * _CHUNK)
-        active = gen.binomial(p, 0.5, size=rows)
-        total = int(active.sum())
-        lam = model.sample(p, rng, p_next=d_out,
-                           n=-(-total // p)).ravel()[:total]
-        chi2 = gen.standard_normal(total) ** 2
-        # np.add.reduceat mishandles empty segments; bincount gives them 0
-        s = np.bincount(np.repeat(np.arange(rows), active),
-                        weights=lam * chi2, minlength=rows)
-        return np.sqrt(s)[:, None] * gen.standard_normal((rows, d_out))
 
-    return np.concatenate(stats.map_replicates(one_chunk, n_chunks, workers))
+def _batched_outputs(model, p, n, master_seed, stream_base, workers,
+                     d_out=1):
+    """n draws of the width-p one-hidden-layer ReLU outputs for a unit input,
+    shape (n, d_out); chunk i comes from RngStream(master_seed,
+    stream_base + i) by `_output_chunk`."""
+    return _map_chunks([(partial(_output_chunk, model, p, d_out), stream_base)],
+                       n, master_seed, workers)[0]
 
 
 @stats.register_experiment("output_dist")
@@ -107,14 +173,16 @@ def output_dist(config, master_seed, replicates, workers):
                          f"{replicates}: its top-5% Hill tail estimate uses "
                          f"the 10 largest of them")
     width = int(config.get("width", 2000))
-    models = standard_models(config.get("models"))
+    models = sorted(standard_models(config.get("models")).items())
     report = ExperimentReport("output_dist",
                               config={"width": width,
-                                      "models": sorted(models)})
+                                      "models": [name for name, _ in models]})
+    zs = _map_chunks([(partial(_output_chunk, model, width, 1), 1000 * mi)
+                      for mi, (_, model) in enumerate(models)],
+                     replicates, master_seed, workers)
     hist_rows, tail_rows = [], []
-    for mi, (name, model) in enumerate(sorted(models.items())):
-        z = _batched_outputs(model, width, replicates, master_seed,
-                             1000 * mi, workers)[:, 0]
+    for (name, _), z in zip(models, zs):
+        z = z[:, 0]
         report.add_estimate(f"{name}/std", z.std(),
                             z.std() / math.sqrt(2 * z.size))
         az = np.abs(z[z != 0])
@@ -142,15 +210,19 @@ def output_dist(config, master_seed, replicates, workers):
 @stats.register_experiment("output_corr")
 def output_corr(config, master_seed, replicates, workers):
     widths = [int(w) for w in config.get("widths", (100, 500, 1000, 2000))]
-    models = standard_models(config.get("models"))
+    models = sorted(standard_models(config.get("models")).items())
     report = ExperimentReport("output_corr",
                               config={"widths": widths,
-                                      "models": sorted(models)})
+                                      "models": [name for name, _ in models]})
+    zs = iter(_map_chunks([(partial(_output_chunk, model, p, 2),
+                            1000 * mi + 10 * wi)
+                           for mi, (_, model) in enumerate(models)
+                           for wi, p in enumerate(widths)],
+                          replicates, master_seed, workers))
     rows = []
-    for mi, (name, model) in enumerate(sorted(models.items())):
-        for wi, p in enumerate(widths):
-            z = _batched_outputs(model, p, replicates, master_seed,
-                                 1000 * mi + 10 * wi, workers, d_out=2)
+    for name, _ in models:
+        for p in widths:
+            z = next(zs)
             corr = float(np.corrcoef(z[:, 0] ** 2, z[:, 1] ** 2)[0, 1])
             rows.append([name, p, corr])
             if p == 2000:
@@ -170,31 +242,36 @@ def _max_weight_limit_cdf(m, xs):
     return np.exp(-levy.tail_intensity(mixed, np.asarray(xs, dtype=float) ** 2))
 
 
+def _max_abs_weight(model, p, rows, rng):
+    """Per row, the largest |w_j| = sqrt(lambda_j) |v_j| of `rows` width-p
+    layers, formed in the variances' array."""
+    lam = model.sample(p, rng, p_next=1, n=rows)
+    v = rng.generator.standard_normal(lam.shape)
+    np.sqrt(lam, out=lam)
+    lam *= np.abs(v, out=v)
+    return np.max(lam, axis=1)
+
+
+def _max_weight_chunk(model, widths, rows, rng):
+    """(rows, len(widths)) largest |weights|, the widths drawn in turn from
+    one stream."""
+    return np.stack([_max_abs_weight(model, p, rows, rng) for p in widths],
+                    axis=1)
+
+
 @stats.register_experiment("max_weight")
 def max_weight(config, master_seed, replicates, workers):
     widths = [int(w) for w in config.get("widths", (100, 500, 1000, 2000))]
-    models = standard_models(config.get(
-        "models", ("deterministic", "beta", "generalized_bfry")))
+    models = sorted(standard_models(config.get(
+        "models", ("deterministic", "beta", "generalized_bfry"))).items())
     report = ExperimentReport("max_weight",
                               config={"widths": widths,
-                                      "models": sorted(models)})
+                                      "models": [name for name, _ in models]})
+    maxws = _map_chunks([(partial(_max_weight_chunk, model, widths), 1000 * mi)
+                         for mi, (_, model) in enumerate(models)],
+                        replicates, master_seed, workers)
     rows = []
-    n = int(replicates)
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    for mi, (name, model) in enumerate(sorted(models.items())):
-
-        def one_chunk(i, model=model, mi=mi):
-            rng = RngStream(master_seed, 1000 * mi + i)
-            out = []
-            for p in widths:
-                lam = model.sample(p, rng, p_next=1,
-                                   n=min(_CHUNK, n - i * _CHUNK))
-                v = rng.generator.standard_normal(lam.shape)
-                out.append(np.max(np.sqrt(lam) * np.abs(v), axis=1))
-            return np.stack(out, axis=1)
-
-        maxw = np.concatenate(stats.map_replicates(one_chunk, n_chunks,
-                                                   workers))
+    for (name, model), maxw in zip(models, maxws):
         trivial = model.limit.measure.kind == "trivial"
         per_width = []
         for wi, p in enumerate(widths):
@@ -240,18 +317,18 @@ def truncation_error(config, master_seed, replicates, workers):
     x = np.array([1.0])
     rows = []
     n = int(replicates)
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
+    sizes = _chunks(n)
     for ai, alpha in enumerate(alphas):
         model = make_model("generalized_bfry", eta=eta, alpha=alpha, tau=tau)
         cfg = NetworkConfig(1, 1, [p] * depth, 1.0, 0.0, RELU, [model] * depth)
 
         def one_chunk(i, cfg=cfg):
-            rows_i = min(_CHUNK, n - i * _CHUNK)
+            rows_i = sizes[i]
             m, se = pruning.epsilon_sweep_error(
                 cfg, x, eps_grid, rows_i, RngStream(master_seed, 1000 * ai + i))
             return rows_i * m, rows_i * (se ** 2 * rows_i + m ** 2)
 
-        parts = stats.map_replicates(one_chunk, n_chunks, workers)
+        parts = stats.map_replicates(one_chunk, len(sizes), workers)
         mean = np.sum([a for a, _ in parts], axis=0) / n
         second = np.sum([b for _, b in parts], axis=0) / n
         se = np.sqrt(np.maximum(second - mean ** 2, 0.0) / n)
@@ -322,35 +399,43 @@ _GP_RATIO_LIMITS = {
 }
 
 
+def _compressibility_cell(model, p, kappa, n, master_seed, stream):
+    """One (model, width) cell of compressibility: (the mean kappa mass ratio
+    of n variance draws, the paired kappa-pruning error of the output, that
+    error over E[Z^2] from at least 200 output draws)."""
+    rng = RngStream(master_seed, stream)
+    ratio = float(np.mean([pruning.compressibility_ratio(row, kappa)
+                           for row in model.sample(p, rng, p_next=1, n=n)]))
+    cfg = NetworkConfig(1, 1, [p], 1.0, 0.0, RELU, [model])
+    rule = pruning.PruningRule("kappa", kappa=kappa)
+    err, _ = pruning.paired_pruning_error(cfg, np.array([1.0]), rule, n,
+                                          rng.substream(1))
+    z2 = np.mean(_batched_outputs(model, p, max(n, 200), master_seed,
+                                  stream + 5, 1)[:, 0] ** 2)
+    return ratio, float(err[-1]), float(err[-1] / z2)
+
+
 @stats.register_experiment("compressibility")
 def compressibility(config, master_seed, replicates, workers):
     widths = [int(w) for w in config.get("widths", (500, 2000, 8000))]
     kappa = float(config.get("kappa", 0.5))
-    models = standard_models(config.get("models"))
+    models = sorted(standard_models(config.get("models")).items())
     report = ExperimentReport("compressibility",
                               config={"widths": widths, "kappa": kappa,
-                                      "models": sorted(models)})
-    x = np.array([1.0])
+                                      "models": [name for name, _ in models]})
+    cells = iter(_map_cells(
+        [partial(_compressibility_cell, model, p, kappa, int(replicates),
+                 master_seed, 1000 * mi + 10 * wi)
+         for mi, (_, model) in enumerate(models)
+         for wi, p in enumerate(widths)], workers))
     rows = []
-    n = int(replicates)
-    for mi, (name, model) in enumerate(sorted(models.items())):
+    for name, model in models:
         ratios, err_fracs = [], []
-        for wi, p in enumerate(widths):
-            rng = RngStream(master_seed, 1000 * mi + 10 * wi)
-            lam = model.sample(p, rng, p_next=1, n=n)
-            ratio = float(np.mean([pruning.compressibility_ratio(row, kappa)
-                                   for row in lam]))
-            cfg = NetworkConfig(1, 1, [p], 1.0, 0.0, RELU, [model])
-            rule = pruning.PruningRule("kappa", kappa=kappa)
-            err, _ = pruning.paired_pruning_error(cfg, x, rule, n,
-                                                  rng.substream(1))
-            z2 = np.mean(_batched_outputs(model, p, max(n, 200), master_seed,
-                                          1000 * mi + 10 * wi + 5,
-                                          workers)[:, 0] ** 2)
-            frac = float(err[-1] / z2)
+        for p in widths:
+            ratio, err, frac = next(cells)
             ratios.append(ratio)
             err_fracs.append(frac)
-            rows.append([name, p, ratio, float(err[-1]), frac])
+            rows.append([name, p, ratio, err, frac])
         a = model.limit.location_a
         if a == 0.0:
             report.add_check(f"{name}/ratio_final", ratios[-1], 0.0, 0.05)
@@ -397,10 +482,12 @@ def verify(config, master_seed, replicates, workers):
     # convergence of the finite-width construction to (a, rho) per model
     from .models import check_id_conditions
     n = max(int(replicates), 200)
-    for mi, (name, model) in enumerate(sorted(standard_models().items())):
-        rng = RngStream(master_seed, 5000 + mi)
-        sub = check_id_conditions(model, [2000], [0.5, 2.0], [1.0], n, rng,
-                                  p_next=1)
+    models = sorted(standard_models().items())
+    subs = _map_cells([partial(check_id_conditions, model, [2000], [0.5, 2.0],
+                               [1.0], n, RngStream(master_seed, 5000 + mi),
+                               p_next=1)
+                       for mi, (_, model) in enumerate(models)], workers)
+    for (name, _), sub in zip(models, subs):
         for c in sub.checks:
             report.add_check(f"id_conditions/{name}/{c.label}", c.value,
                              c.target, c.tolerance)

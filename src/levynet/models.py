@@ -13,7 +13,7 @@ from scipy import stats as st
 from . import levy
 from .levy import LevyTriple
 from .reporting import ExperimentReport
-from .rng import (sample_etbfry, sample_gamma, sample_half_cauchy,
+from .rng import (_blocks, sample_etbfry, sample_gamma, sample_half_cauchy,
                   sample_inverse_gamma, sample_pareto)
 
 __all__ = [
@@ -281,7 +281,10 @@ def make_model(name, **params):
 
         def sampler(p, pn, rng, n):
             u = sample_half_cauchy(rng, (n, p))
-            return c * math.pi**2 * u * u / (4.0 * p * p)
+            for block in _blocks(u):  # (c pi^2 u) u, without a full temporary
+                block *= c * math.pi**2 * block
+            u /= 4.0 * p * p
+            return u
 
         return VarianceModel(
             name, {"c": c}, LevyTriple(0.0, levy.horseshoe_measure(c)), sampler)
@@ -310,9 +313,9 @@ def make_model(name, **params):
 
         def sampler(p, pn, rng, n):
             t = _bfry_t(p, eta, alpha, tau)
-            beta_j = sample_pareto(tau, 1.0, rng, (n, p))
-            zeta = sample_etbfry(alpha, t, 1.0, rng, (n, p))
-            return beta_j * zeta
+            lam = sample_pareto(tau, 1.0, rng, (n, p))
+            lam *= sample_etbfry(alpha, t, 1.0, rng, (n, p))
+            return lam
 
         return VarianceModel(
             name, {"eta": eta, "alpha": alpha, "tau": tau},

@@ -4,6 +4,11 @@ A stream is identified by a ``(master_seed, stream_index)`` pair.  The pair keys
 a Philox counter-based bit generator, so distinct indices give independent
 streams without any coordination, and the same pair always reproduces the same
 sequence of draws.
+
+The samplers build an array draw in the array numpy returns, operating in
+place, so a request of any size holds one output-sized array; as for numpy's
+own samplers, the parameters must then broadcast to ``size``.  A scalar draw
+(``size=None``) keeps the type the plain expression gives.
 """
 
 import math
@@ -67,6 +72,17 @@ class RngStream:
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
 
+# entries per block of an array worked on in place, piece by piece
+_BLOCK = 1 << 16
+
+
+def _blocks(a):
+    """Consecutive views, in C order, of at most _BLOCK entries each that
+    together cover the contiguous array a."""
+    flat = a.reshape(-1)
+    return (flat[start:start + _BLOCK] for start in range(0, flat.size, _BLOCK))
+
+
 def _positive(name, value):
     if not np.all(np.asarray(value) > 0):
         raise ValueError(f"{name} must be > 0, got {value}")
@@ -95,12 +111,14 @@ def sample_inverse_gamma(shape, scale, rng, size=None):
     """Inverse-gamma draw(s) with density scale^shape/Gamma(shape) x^{-shape-1} e^{-scale/x}."""
     _positive("shape", shape)
     _positive("scale", scale)
-    return scale / rng.generator.gamma(shape, size=size)
+    g = rng.generator.gamma(shape, size=size)
+    return scale / g if size is None else np.divide(scale, g, out=g)
 
 
 def sample_half_cauchy(rng, size=None):
     """|Cauchy(0,1)| draw(s); the median is 1."""
-    return np.abs(rng.generator.standard_cauchy(size))
+    x = rng.generator.standard_cauchy(size)
+    return np.abs(x) if size is None else np.abs(x, out=x)
 
 
 def sample_pareto(tau, c, rng, size=None):
@@ -108,7 +126,9 @@ def sample_pareto(tau, c, rng, size=None):
     _positive("tau", tau)
     _positive("c", c)
     u = rng.generator.random(size)
-    return c * u ** (-1.0 / tau)
+    u **= -1.0 / tau
+    u *= c
+    return u
 
 
 def sample_positive_stable(alpha, c, rng, size=None):
@@ -145,15 +165,24 @@ def sample_etbfry(alpha, t, xi, rng, size=None):
     shows g is an exact mixture of Gamma(1-alpha, rate=b) densities with the
     mixing rate b drawn from the density proportional to b^{alpha-1} on
     (xi, t+xi).  Both stages invert in closed form, so the sampler is exact.
+    The rates b are formed in the uniforms' array and the gamma draws are
+    divided into it block by block, so an array request holds one
+    output-sized array.
     """
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
     _positive("t", t)
     _positive("xi", xi)
     gen = rng.generator
-    u = gen.random(size)
-    b = (xi**alpha + u * ((t + xi) ** alpha - xi**alpha)) ** (1.0 / alpha)
-    return gen.gamma(1.0 - alpha, size=size) / b
+    b = gen.random(size)
+    b *= (t + xi) ** alpha - xi**alpha
+    b += xi**alpha
+    b **= 1.0 / alpha
+    if size is None:
+        return gen.gamma(1.0 - alpha) / b
+    for block in _blocks(b):
+        np.divide(gen.gamma(1.0 - alpha, size=block.size), block, out=block)
+    return b
 
 
 def etbfry_tail(s, alpha, t, xi):

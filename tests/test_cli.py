@@ -89,6 +89,30 @@ def test_multi_chunk_worker_invariance(tmp_path, command, config):
             assert f1.read() == f3.read()
 
 
+@pytest.mark.parametrize("command, replicates, config", [
+    ("compressibility", 40, {"widths": [100, 400],
+                             "models": ["beta", "generalized_bfry"]}),
+    ("max_weight", 1200, {"widths": [50, 200],
+                          "models": ["beta", "generalized_bfry"]}),
+    ("output_dist", 1200, {"width": 100,
+                           "models": ["generalized_bfry", "inverse_gamma"]}),
+    ("output_corr", 1200, {"widths": [50, 100],
+                           "models": ["deterministic", "horseshoe"]}),
+    ("verify", 200, None),
+])
+def test_cell_fanout_worker_invariance(tmp_path, command, replicates, config):
+    # the experiment's (model, width) cells or replicate chunks run on 1 or
+    # 3 threads; every output file must come out the same
+    _, out1 = _run(tmp_path, command, "--workers", "1",
+                   "--replicates", str(replicates), config=config)
+    _, out3 = _run(tmp_path, command, "--workers", "3",
+                   "--replicates", str(replicates), config=config)
+    assert sorted(os.listdir(out1)) == sorted(os.listdir(out3))
+    for name in os.listdir(out1):
+        with open(out1 / name, "rb") as f1, open(out3 / name, "rb") as f3:
+            assert f1.read() == f3.read(), name
+
+
 def test_kernel_realizations_worker_invariance_at_large_beta(tmp_path):
     # beta(1000, 500) layers: about 16 000 atoms per draw and lazily cached
     # atom floors and inverse tails, which the draws share

@@ -2,13 +2,17 @@
 determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as st
 
+from levynet import experiments
 from levynet.experiments import (STANDARD_MODEL_NAMES, _batched_outputs,
+                                 _max_weight_chunk, _output_chunk,
                                  standard_models)
+from levynet.models import make_model
 from levynet.rng import RngStream
 from levynet.stats import experiment_names, run_experiment
 
@@ -211,6 +215,62 @@ def test_batched_outputs_draw_variances_only_for_active_units():
               for i, rows in enumerate((500, 500, 200))]
     assert model.requests == [p * -(-k // p) for k in active]
     assert all(k <= r < k + p for k, r in zip(active, model.requests))
+
+
+def _one_pass_chunk(model, p, rows, rng, d_out):
+    """The reference for `_output_chunk`: every squared normal drawn at once
+    and every row summed by one np.bincount."""
+    gen = rng.generator
+    active = gen.binomial(p, 0.5, size=rows)
+    total = int(active.sum())
+    lam = model.sample(p, rng, p_next=d_out, n=-(-total // p)).ravel()[:total]
+    chi2 = gen.standard_normal(total) ** 2
+    s = np.bincount(np.repeat(np.arange(rows), active),
+                    weights=lam * chi2, minlength=rows)
+    return np.sqrt(s)[:, None] * gen.standard_normal((rows, d_out))
+
+
+@pytest.mark.parametrize("p, rows, block", [
+    (1, 300, 1 << 16),     # half the rows have no active unit, one block
+    (3, 200, 5),           # rows with none, blocks of 1 or 2 rows
+    (20, 50, 5),           # every row alone is longer than a block
+    (8000, 200, 1 << 16),  # the compressibility denominator's shape
+])
+def test_blocked_row_sums_match_one_pass(monkeypatch, p, rows, block):
+    monkeypatch.setattr(experiments, "_ROW_BLOCK", block)
+    model = standard_models(["beta"])["beta"]
+    got = _output_chunk(model, p, 2, rows, RngStream(51, 3))
+    ref = _one_pass_chunk(model, p, rows, RngStream(51, 3), 2)
+    assert np.array_equal(got, ref)
+    if p <= 3:
+        assert np.any(got == 0.0)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_output_chunk_holds_one_variance_array():
+    # 200 rows at p = 8000 hold about 800 000 active units: 6.4 MB of
+    # variances, and squared normals in blocks of 65 536
+    peak = _traced_peak(_batched_outputs, make_model("beta", eta=1, b=0.5),
+                        8000, 200, 0, 5, 1)
+    assert peak <= 12e6
+
+
+@pytest.mark.parametrize("name", ["deterministic", "beta", "generalized_bfry"])
+def test_max_weight_chunk_memory(name):
+    # 500 rows at p = 2000 are 8 MB per array: the variances and the
+    # read-out normals, plus the generalized BFRY's second factor
+    model = standard_models([name])[name]
+    peak = _traced_peak(_max_weight_chunk, model, [2000], 500,
+                        RngStream(0, 1))
+    assert peak <= 2.5 * 8e6
 
 
 @pytest.mark.parametrize("name", sorted(experiment_names()))

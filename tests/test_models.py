@@ -163,3 +163,23 @@ def test_validation_errors():
     bern = make_model("bernoulli", c=5.0)
     with pytest.raises(ValueError):
         bern.sample(3, RngStream(1, 0))
+
+
+def test_horseshoe_and_generalized_bfry_samplers_match_plain_expressions():
+    # the samplers work in place; their draws must be the plain
+    # expressions' bits, here across more than one 65 536-entry block
+    p, n = 300, 250
+    c = 1.3
+    got = make_model("horseshoe", c=c).sample(p, RngStream(41, 0), n=n)
+    u = np.abs(RngStream(41, 0).generator.standard_cauchy((n, p)))
+    assert np.array_equal(got, c * math.pi**2 * u * u / (4.0 * p * p))
+
+    eta, alpha, tau = 4.0, 0.5, 5.0
+    got = make_model("generalized_bfry", eta=eta, alpha=alpha,
+                     tau=tau).sample(p, RngStream(42, 0), n=n)
+    gen = RngStream(42, 0).generator
+    beta_j = 1.0 * gen.random((n, p)) ** (-1.0 / tau)
+    t = (p * alpha * tau / eta) ** (1.0 / alpha)
+    b = (1.0 + gen.random((n, p)) * ((t + 1.0) ** alpha - 1.0)) ** (1.0 / alpha)
+    zeta = gen.gamma(1.0 - alpha, size=(n, p)) / b
+    assert np.array_equal(got, beta_j * zeta)

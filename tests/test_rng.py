@@ -121,3 +121,44 @@ def test_etbfry_pdf_normalizes():
     total, _ = integrate.quad(lambda u: etbfry_pdf(u, alpha, t, xi),
                               0.0, math.inf, epsabs=1e-12, epsrel=1e-12)
     assert abs(total - 1.0) < 1e-9
+
+
+# The samplers build array draws in place.  Each must give the bits of its
+# plain expression, kept here as the reference, and a scalar draw must keep
+# that expression's type.  The etBFRY cases cover the square (1/alpha = 2)
+# and a general power, and sizes across a gamma block edge.
+def _plain_etbfry(alpha, t, xi, rng, size):
+    gen = rng.generator
+    u = gen.random(size)
+    b = (xi**alpha + u * ((t + xi) ** alpha - xi**alpha)) ** (1.0 / alpha)
+    return gen.gamma(1.0 - alpha, size=size) / b
+
+
+_PLAIN_SAMPLERS = {
+    "inverse_gamma": (
+        lambda rng, size: sample_inverse_gamma(2.5, 3.0, rng, size),
+        lambda rng, size: 3.0 / rng.generator.gamma(2.5, size=size)),
+    "half_cauchy": (
+        lambda rng, size: sample_half_cauchy(rng, size),
+        lambda rng, size: np.abs(rng.generator.standard_cauchy(size))),
+    "pareto": (
+        lambda rng, size: sample_pareto(3.0, 2.0, rng, size),
+        lambda rng, size: 2.0 * rng.generator.random(size) ** (-1.0 / 3.0)),
+    "etbfry_half": (
+        lambda rng, size: sample_etbfry(0.5, 40.0, 1.0, rng, size),
+        lambda rng, size: _plain_etbfry(0.5, 40.0, 1.0, rng, size)),
+    "etbfry_0.3": (
+        lambda rng, size: sample_etbfry(0.3, 10.0, 2.0, rng, size),
+        lambda rng, size: _plain_etbfry(0.3, 10.0, 2.0, rng, size)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLAIN_SAMPLERS))
+@pytest.mark.parametrize("size", [None, 7, (3, 5), (2, 40_000), 65_536 + 1])
+def test_samplers_match_their_plain_expressions(name, size):
+    sampler, plain = _PLAIN_SAMPLERS[name]
+    got = sampler(RngStream(31, 2), size)
+    ref = plain(RngStream(31, 2), size)
+    assert type(got) is type(ref)
+    assert np.shape(got) == np.shape(ref)
+    assert np.array_equal(got, ref)
