@@ -94,12 +94,25 @@ def _map_cells(cells, workers):
     return stats.map_replicates(lambda k: cells[k](), len(cells), workers)
 
 
+def _check_keys(ranges, what):
+    """Raise a ValueError if two of the key ranges (start, count), each the
+    RngStream keys start, ..., start + count - 1 of one cell, overlap: the
+    cells would then read the same stream.  `what` names the count that
+    sets the ranges' length."""
+    ranges = sorted(ranges)
+    for (a, n), (b, _) in zip(ranges, ranges[1:]):
+        if a + n > b:
+            raise ValueError(f"{what} reach stream key {b}, which another "
+                             f"cell reads; use fewer")
+
+
 def _map_chunks(jobs, n, master_seed, workers):
     """For each job (fn, stream_base), fn(rows, rng) over the replicate
     chunks of n rows, chunk i reading RngStream(master_seed, stream_base + i),
     concatenated along the rows.  The chunks of every job are cells of one
-    fan-out."""
+    fan-out; a ValueError is raised if two jobs would share a chunk stream."""
     sizes = _chunks(n)
+    _check_keys([(base, len(sizes)) for _, base in jobs], f"{n} replicates")
     parts = _map_cells([partial(fn, rows, RngStream(master_seed, base + i))
                         for fn, base in jobs for i, rows in enumerate(sizes)],
                        workers)
@@ -318,6 +331,8 @@ def truncation_error(config, master_seed, replicates, workers):
     rows = []
     n = int(replicates)
     sizes = _chunks(n)
+    _check_keys([(1000 * ai, len(sizes)) for ai in range(len(alphas))],
+                f"{n} replicates")
     for ai, alpha in enumerate(alphas):
         model = make_model("generalized_bfry", eta=eta, alpha=alpha, tau=tau)
         cfg = NetworkConfig(1, 1, [p] * depth, 1.0, 0.0, RELU, [model] * depth)
@@ -360,6 +375,8 @@ def kernel_realizations(config, master_seed, replicates, workers):
     n_rho = int(config.get("n_rho", 41))
     rhos = np.linspace(-1.0, 1.0, n_rho)
     n_draws = int(replicates)
+    _check_keys([(1000 * bi, n_draws) for bi in range(len(betas))],
+                f"{n_draws} draws")
     report = ExperimentReport("kernel_realizations",
                               config={"betas": betas, "n_rho": n_rho})
     # points on the radius-sqrt(2) circle so |x||x'|/d_in = 1
@@ -423,11 +440,16 @@ def compressibility(config, master_seed, replicates, workers):
     report = ExperimentReport("compressibility",
                               config={"widths": widths, "kappa": kappa,
                                       "models": [name for name, _ in models]})
+    keyed = [(model, p, 1000 * mi + 10 * wi)
+             for mi, (_, model) in enumerate(models)
+             for wi, p in enumerate(widths)]
+    # a cell reads its own stream k and its E[Z^2] chunks' from k + 5 on
+    z2_chunks = len(_chunks(max(int(replicates), 200)))
+    _check_keys([r for *_, k in keyed for r in ((k, 1), (k + 5, z2_chunks))],
+                f"{replicates} replicates")
     cells = iter(_map_cells(
         [partial(_compressibility_cell, model, p, kappa, int(replicates),
-                 master_seed, 1000 * mi + 10 * wi)
-         for mi, (_, model) in enumerate(models)
-         for wi, p in enumerate(widths)], workers))
+                 master_seed, k) for model, p, k in keyed], workers))
     rows = []
     for name, model in models:
         ratios, err_fracs = [], []

@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 QUAD_ABS_TOL = 1e-10
-INVERSE_REL_TOL = 1e-12
 DEFAULT_FLOOR_REL = 1e-8
 
 # chi-square(1) helpers (the law of a squared standard normal)
@@ -139,17 +138,14 @@ class LevyTriple:
 class PointProcessSample:
     """Decreasing atoms of a Poisson process, with truncation metadata.
 
-    truncated_mean_mass is int_0^threshold x rho(dx) when the measure has a
-    finite first moment; infinite (flagging an uncompensated sample) otherwise.
+    truncated_mean_mass is int_0^threshold x rho(dx), the mean of the atoms
+    dropped below the threshold; it is finite for every Levy measure, since
+    int min(1, x) rho(dx) < inf.
     """
 
     atoms: np.ndarray
     truncation_threshold: float
     truncated_mean_mass: float
-
-    @property
-    def uncompensated(self):
-        return not math.isfinite(self.truncated_mean_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -179,44 +175,32 @@ def _quad(f, lo, hi):
     return total
 
 
-def _bisect_tail(tail, u, support, rel=INVERSE_REL_TOL):
-    """Scalar generalized inverse inf{x : tail(x) < u} by bracketed bisection."""
+# halvings of the log-x bracket in `_generalized_inverse`: 60 leave a width
+# of ln(1e600) / 2^60, about 1.2e-15 relative in x
+_INVERSE_HALVINGS = 60
+
+
+def _generalized_inverse(f, y, support):
+    """inf{x in support : f(x) < y} for a non-increasing, vectorised f at
+    every entry of the array y at once, by halving the bracket in log x a
+    fixed number of times over the support clipped to [1e-300, 1e300], with
+    one call of f on the whole array per halving.  Where f is still >= y at
+    the top of the support the answer is that end: inf for an unbounded
+    support.  Where f < y on the whole support it is the lower end."""
+    y = np.asarray(y, dtype=float)
     lo_s, hi_s = support
-    # Bracket: lo with tail(lo) >= u, hi with tail(hi) < u.
-    hi = min(hi_s, 1.0) if hi_s < math.inf else 1.0
-    while float(tail(np.asarray([hi]))[0]) >= u:
-        if hi_s < math.inf and hi >= hi_s * (1 - 1e-15):
-            return hi_s
-        hi = min(hi * 4.0, hi_s) if hi_s < math.inf else hi * 4.0
-        if hi > 1e300:
-            return math.inf
-    lo = max(lo_s, min(hi / 4.0, 1.0))
-    while lo > lo_s and float(tail(np.asarray([lo]))[0]) < u:
-        lo = lo_s + (lo - lo_s) / 4.0 if lo_s > 0 else lo / 4.0
-        if lo < 1e-300:
-            lo = 1e-300
-            break
-    # bisect in log space first (robust across scales), then linearly
-    for _ in range(200):
-        if hi <= lo * (1.0 + 1e-12):
-            break
-        # geometric midpoint in log space (lo * hi can underflow to 0)
-        mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-        if mid <= lo or mid >= hi:
-            break
-        if float(tail(np.asarray([mid]))[0]) >= u:
-            lo = mid
-        else:
-            hi = mid
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel * max(abs(mid), 1e-300):
-            break
-        if float(tail(np.asarray([mid]))[0]) >= u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    x_top = min(hi_s, 1e300)
+    lo = np.full(y.shape, math.log(max(lo_s, 1e-300)))
+    hi = np.full(y.shape, math.log(x_top))
+    # far from the answer f may overflow or underflow on its way to 0 or inf
+    with np.errstate(over="ignore", under="ignore"):
+        for _ in range(_INVERSE_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            above = f(np.exp(mid)) >= y
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        top = f(np.full(y.shape, x_top)) >= y
+    return np.where(top, hi_s, np.exp(0.5 * (lo + hi)))
 
 
 class _TabulatedInverse:
@@ -225,8 +209,7 @@ class _TabulatedInverse:
     inverse is unavailable.  Accuracy is validated against bisection in tests."""
 
     def __init__(self, m, u_max, u_min=1e-16, points_per_decade=800):
-        x_lo = _bisect_tail(lambda x: m.tail_fn(x), u_max, m.support)
-        x_hi = _bisect_tail(lambda x: m.tail_fn(x), u_min, m.support)
+        x_lo, x_hi = _generalized_inverse(m.tail_fn, [u_max, u_min], m.support)
         x_lo = max(x_lo, 1e-300)
         if not math.isfinite(x_hi):
             raise ValueError("tail does not decay; cannot tabulate inverse")
@@ -561,6 +544,26 @@ def finite_measure(total_mass, survival, sampler=None, density=None,
 # measure algebra
 # ---------------------------------------------------------------------------
 
+def _affine(m, mass, s, name, params):
+    """The generic analytic measure with tail mass * rhobar(x / s): rho
+    pushed forward under x -> s x, then scaled by mass.  A unit mass or s
+    multiplies and divides exactly, so scale_mass and dilate keep every
+    value of their own expressions."""
+    tail0, inv0, dens0 = m.tail_fn, m.inverse_tail_fn, m.density_fn
+    mom0, mb0 = m.moment_fn, m.mean_below_fn
+    return MeasureDescriptor(
+        kind="analytic", name=name, params=params,
+        support=(m.support[0] * s, m.support[1] * s),
+        tail_fn=lambda x: mass * tail0(np.asarray(x, dtype=float) / s),
+        inverse_tail_fn=None if inv0 is None else
+        (lambda u: s * inv0(np.asarray(u, dtype=float) / mass)),
+        density_fn=None if dens0 is None else
+        (lambda x: mass * dens0(np.asarray(x, dtype=float) / s) / s),
+        moment_fn=None if mom0 is None else (lambda k: mass * s**k * mom0(k)),
+        mean_below_fn=None if mb0 is None else (lambda e: mass * s * mb0(e / s)),
+    )
+
+
 def scale_mass(m, factor):
     """The measure factor * rho (same atoms, scaled intensity)."""
     if factor <= 0:
@@ -572,19 +575,8 @@ def scale_mass(m, factor):
     if m.stable is not None:
         alpha, c = m.stable
         return stable_measure(alpha, c * factor ** (1.0 / alpha))
-    tail0, inv0, dens0 = m.tail_fn, m.inverse_tail_fn, m.density_fn
-    mom0, mb0 = m.moment_fn, m.mean_below_fn
-    return MeasureDescriptor(
-        kind="analytic", name=f"scaled({m.name})",
-        params={"factor": factor, "base": m.params},
-        support=m.support,
-        tail_fn=lambda x: factor * tail0(x),
-        inverse_tail_fn=None if inv0 is None else
-        (lambda u: inv0(np.asarray(u, dtype=float) / factor)),
-        density_fn=None if dens0 is None else (lambda x: factor * dens0(x)),
-        moment_fn=None if mom0 is None else (lambda k: factor * mom0(k)),
-        mean_below_fn=None if mb0 is None else (lambda e: factor * mb0(e)),
-    )
+    return _affine(m, factor, 1.0, f"scaled({m.name})",
+                   {"factor": factor, "base": m.params})
 
 
 def dilate(m, s):
@@ -598,19 +590,7 @@ def dilate(m, s):
     if m.stable is not None:
         alpha, c = m.stable
         return stable_measure(alpha, c * s)
-    tail0, inv0, dens0 = m.tail_fn, m.inverse_tail_fn, m.density_fn
-    mom0, mb0 = m.moment_fn, m.mean_below_fn
-    return MeasureDescriptor(
-        kind="analytic", name=f"dilated({m.name})",
-        params={"s": s, "base": m.params},
-        support=(m.support[0] * s, m.support[1] * s),
-        tail_fn=lambda x: tail0(np.asarray(x, dtype=float) / s),
-        inverse_tail_fn=None if inv0 is None else (lambda u: s * inv0(u)),
-        density_fn=None if dens0 is None else
-        (lambda x: dens0(np.asarray(x, dtype=float) / s) / s),
-        moment_fn=None if mom0 is None else (lambda k: s**k * mom0(k)),
-        mean_below_fn=None if mb0 is None else (lambda e: s * mb0(e / s)),
-    )
+    return _affine(m, 1.0, s, f"dilated({m.name})", {"s": s, "base": m.params})
 
 
 def add_measures(m1, m2):
@@ -685,7 +665,7 @@ def inverse_tail_intensity(m, u):
         if m.inverse_tail_fn is not None:
             out = np.clip(np.asarray(m.inverse_tail_fn(u_arr), dtype=float), 0.0, m.support[1])
         else:
-            out = np.array([_bisect_tail(m.tail_fn, float(ui), m.support) for ui in u_arr])
+            out = _generalized_inverse(m.tail_fn, u_arr, m.support)
         # past the total mass (rhobar(1e-300) for an infinite measure) the inverse is 0
         mass0 = m.total_mass()
         out = np.where(u_arr > mass0, 0.0, out) if math.isfinite(mass0) else out
@@ -938,12 +918,6 @@ def _atom_series(m, rng, n, atom_floor, sums):
     return out
 
 
-def _compensation(m, atom_floor):
-    """int_0^atom_floor x rho(dx), the mean of the dropped atoms, when
-    M1 < inf; inf (no compensation) otherwise."""
-    return float(mean_mass_below(m, atom_floor)) if moment(m, 1) < math.inf else math.inf
-
-
 def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
     """n independent point-process draws as a (n, J) array of atoms sorted
     decreasing along each row and padded with zeros.  Returns
@@ -963,7 +937,7 @@ def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
     if atom_floor is None:
         atom_floor = default_atom_floor(m)
     atoms = _atom_series(m, rng, n, atom_floor, sums=False)
-    return atoms, float(atom_floor), _compensation(m, atom_floor)
+    return atoms, float(atom_floor), mean_mass_below(m, atom_floor)
 
 
 def sample_ppp(m, rng, atom_floor=None):
@@ -976,8 +950,8 @@ def sample_ppp(m, rng, atom_floor=None):
 
 
 def sample_id_batch(t, rng, n, atom_floor=None):
-    """n draws of ID(a, rho): location + atom sums + deterministic
-    compensation of the truncated small-atom mass when M1 < inf.  A stable
+    """n draws of ID(a, rho): location + atom sums + the mean
+    int_0^atom_floor x rho(dx) of the atoms dropped below the floor.  A stable
     measure at the default floor takes the exact positive-stable sampler."""
     m = t.measure
     if m.kind == "trivial":
@@ -991,5 +965,4 @@ def sample_id_batch(t, rng, n, atom_floor=None):
     if atom_floor is None:
         atom_floor = default_atom_floor(m)
     sums = _atom_series(m, rng, n, atom_floor, sums=True)
-    comp = _compensation(m, atom_floor)
-    return t.location_a + sums + (comp if math.isfinite(comp) else 0.0)
+    return t.location_a + sums + mean_mass_below(m, atom_floor)

@@ -139,34 +139,28 @@ def gen_bfry_density(x, p, eta, alpha, tau):
 # ---------------------------------------------------------------------------
 
 def _laplace_exponent(m, t):
-    """psi(t) = int (1 - e^{-ut}) rho(du) = t int e^{-ut} rhobar(u) du."""
-    def integrand(u):
-        with np.errstate(over="ignore"):
-            tu = np.minimum(t * np.asarray(u), 745.0)
-        return np.exp(-tu) * m.tail_fn(u)
+    """psi(t) = int (1 - e^{-ut}) rho(du) = int_0^inf e^{-v} rhobar(v/t) dv,
+    after the substitution v = u t, which keeps the integrand's mass near
+    v = 1 for every t (in u it sits near 1/t, where the quadrature misses
+    it once t is large).  e^{-v} underflows past v = 750."""
+    hi = m.support[1]
 
-    return t * levy._quad(integrand, m.support[0], m.support[1])
+    def integrand(v):
+        return np.exp(-v) * m.tail_fn(np.clip(np.asarray(v) / t, 1e-300, hi))
+
+    return levy._quad(integrand, 0.0, min(t * hi, 750.0))
 
 
 def _inverse_laplace_exponent(m, p):
-    lo, hi = 1.0, 1.0
-    while _laplace_exponent(m, hi) < p:
-        hi *= 4.0
-        if hi > 1e200:
-            raise ValueError(
-                "psi^{-1}(p) exceeds 1e200; this measure's Laplace exponent "
-                "grows too slowly for a width-p construction at this scale")
-    while _laplace_exponent(m, lo) > p and lo > 1e-300:
-        lo /= 4.0
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if hi / lo <= 1.0 + 1e-13:
-            break
-        if _laplace_exponent(m, mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+    """psi^{-1}(p), the generalized inverse of the increasing psi, as the
+    inverse of the non-increasing -psi."""
+    neg_psi = lambda t: -np.array([_laplace_exponent(m, ti) for ti in t.ravel()])
+    b = float(levy._generalized_inverse(neg_psi, [-p], (0.0, math.inf))[0])
+    if not b <= 1e200:
+        raise ValueError(
+            "psi^{-1}(p) exceeds 1e200; this measure's Laplace exponent "
+            "grows too slowly for a width-p construction at this scale")
+    return b
 
 
 class _PermanSampler:
@@ -213,7 +207,15 @@ class _PermanSampler:
 # ---------------------------------------------------------------------------
 
 def make_model(name, **params):
-    """Build a named variance model with its declared limit."""
+    """Build a named variance model with its declared limit.  A missing
+    parameter raises a ValueError that names the model and the parameter."""
+    try:
+        return _build_model(name, params)
+    except KeyError as err:
+        raise ValueError(f"model {name!r} needs the parameter {err.args[0]!r}") from None
+
+
+def _build_model(name, params):
     if name == "deterministic":
         c1 = float(params.get("c1", 1.0))
         if c1 <= 0:

@@ -353,9 +353,9 @@ def sample_random_kernel(cfg, inputs, rng, atom_floor=None):
     K^{(1)} = sigma_b^2 + sigma_v^2 x^T x' / d_in; each next layer adds the
     drift term sigma_v^2 a E[phi(z) phi(z')|K] and an atom series
     sigma_v^2 sum_j lam_j phi(zeta_j(x)) phi(zeta_j(x')) with atoms from the
-    layer's limiting measure and zeta_j ~ N(0, K^{(l)}).  Truncated small-atom
-    mass is folded into the drift term when the measure's first moment is
-    finite.
+    layer's limiting measure and zeta_j ~ N(0, K^{(l)}).  The mean
+    int_0^floor x rho(dx) of the atoms dropped below the floor is folded
+    into the drift term.
 
     The marks are zeta = G F^T with G iid N(0, 1) of shape (atoms, rank) and
     F F^T = K^{(l)}.  At layer 1, F is the exact input factor
@@ -397,9 +397,7 @@ def sample_random_kernel(cfg, inputs, rng, atom_floor=None):
         if factor is None and (atoms.size or act.name not in _CLOSED_FORM):
             factor = _factor_with_jitter(kmat)
         cond = _cond_phi_outer(kmat, act, gen, factor)
-        a_eff = triple.location_a
-        if math.isfinite(pp.truncated_mean_mass):
-            a_eff += pp.truncated_mean_mass
+        a_eff = triple.location_a + pp.truncated_mean_mass
         nxt = cfg.sigma_b ** 2 + sv2 * a_eff * cond
         if atoms.size:
             fz = act(_gaussian_draws(factor, gen, atoms.size))

@@ -293,3 +293,29 @@ def test_output_dist_names_model_and_width_when_outputs_are_zero():
     spec = {"name": "output_dist", "width": 1, "models": ["beta"]}
     with pytest.raises(ValueError, match="model beta at width 1 gave only"):
         run_experiment(spec, 1, 300)
+
+
+@pytest.mark.parametrize("spec, replicates", [
+    # 5 500 replicates make 11 chunks per (model, width) cell, keys 10 wi + i,
+    # so width 0's chunk 10 would be width 1's chunk 0
+    ({"name": "output_corr", "widths": [10, 20],
+      "models": ["deterministic"]}, 5500),
+    ({"name": "compressibility", "widths": [10, 20],
+      "models": ["deterministic"]}, 2600),
+    ({"name": "kernel_realizations", "betas": [1.0, 10.0]}, 1001),
+    ({"name": "output_dist", "width": 10,
+      "models": ["deterministic", "inverse_gamma"]}, 500_001),
+    ({"name": "max_weight", "widths": [10],
+      "models": ["deterministic", "beta"]}, 500_001),
+    ({"name": "truncation_error", "alphas": [0.5, 0.3]}, 500_001),
+], ids=lambda v: v["name"] if isinstance(v, dict) else str(v))
+def test_experiments_refuse_to_share_a_stream(spec, replicates):
+    # each check runs before the first draw
+    with pytest.raises(ValueError, match="which another cell reads"):
+        run_experiment(spec, 1, replicates)
+
+
+def test_a_model_without_its_parameters_is_named():
+    spec = {"name": "output_corr", "models": ["bernoulli"]}
+    with pytest.raises(ValueError, match="'bernoulli' needs the parameter 'c'"):
+        run_experiment(spec, 1, 10)

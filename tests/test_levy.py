@@ -210,6 +210,26 @@ def test_tabulated_inverse_matches_bisection():
     assert np.max(np.abs(table(us) - exact) / exact) < 1e-4
 
 
+@pytest.mark.parametrize("base", [gamma_measure(1.0, 1.0),
+                                  gg_pareto_measure(4.0, 0.5, 5.0)])
+def test_inverse_tail_intensity_calls_the_tail_per_halving_not_per_point(base):
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return base.tail_fn(x)
+
+    m = levy.MeasureDescriptor(kind="analytic", name="counted",
+                               support=base.support, tail_fn=counted)
+    counts = []
+    for us in (np.array([0.3]), np.geomspace(1e-10, 1e3, 200)):
+        calls.clear()
+        inverse_tail_intensity(m, us)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert max(calls) == 200
+
+
 # ---------------------------------------------------------------------------
 # measure algebra and transforms
 # ---------------------------------------------------------------------------
@@ -266,6 +286,51 @@ def test_scale_mass_and_dilate_tails():
     assert np.allclose(tail_intensity(dilate(m, 2.0), xs),
                        tail_intensity(m, xs / 2.0))
     assert abs(moment(dilate(m, 2.0), 2) - 4.0 * moment(m, 2)) < 1e-9
+
+
+def _old_affine(m, kind, v):
+    # scale_mass's and dilate's own closures before they shared one wrapper
+    tail0, inv0, dens0 = m.tail_fn, m.inverse_tail_fn, m.density_fn
+    mom0, mb0 = m.moment_fn, m.mean_below_fn
+    if kind == "scale":
+        return {"tail": lambda x: v * tail0(x),
+                "inverse": None if inv0 is None else
+                (lambda u: inv0(np.asarray(u, dtype=float) / v)),
+                "density": lambda x: v * dens0(x),
+                "moment": lambda k: v * mom0(k),
+                "mean_below": lambda e: v * mb0(e)}
+    return {"tail": lambda x: tail0(np.asarray(x, dtype=float) / v),
+            "inverse": None if inv0 is None else (lambda u: v * inv0(u)),
+            "density": lambda x: dens0(np.asarray(x, dtype=float) / v) / v,
+            "moment": lambda k: v**k * mom0(k),
+            "mean_below": lambda e: v * mb0(e / v)}
+
+
+@pytest.mark.parametrize("m", [gamma_measure(1.0, 1.0), beta_measure(1.0, 1.5),
+                               beta_measure(2.0, 0.5)],
+                         ids=["gamma", "beta_1_1.5", "beta_half"])
+@pytest.mark.parametrize("kind, v", [("scale", 3.7), ("scale", 0.3),
+                                     ("dilate", 2.9), ("dilate", 0.45)])
+def test_scale_mass_and_dilate_keep_their_values_bit_for_bit(m, kind, v):
+    new = scale_mass(m, v) if kind == "scale" else dilate(m, v)
+    old = _old_affine(m, kind, v)
+    hi = new.support[1]
+    xs = np.geomspace(1e-9, 0.999 * hi if math.isfinite(hi) else 40.0, 57)
+    us = np.geomspace(1e-8, 30.0, 41)
+    assert np.array_equal(new.tail_fn(xs), old["tail"](xs))
+    assert np.array_equal(new.density_fn(xs), old["density"](xs))
+    assert (new.inverse_tail_fn is None) == (old["inverse"] is None)
+    if old["inverse"] is not None:
+        assert np.array_equal(new.inverse_tail_fn(us), old["inverse"](us))
+    ref = levy.MeasureDescriptor(kind="analytic", support=new.support,
+                                 tail_fn=old["tail"],
+                                 inverse_tail_fn=old["inverse"])
+    assert np.array_equal(inverse_tail_intensity(new, us),
+                          inverse_tail_intensity(ref, us))
+    for k in (1, 2, 3):
+        assert new.moment_fn(k) == old["moment"](k)
+    for e in (1e-6, 0.01, 0.4):
+        assert new.mean_below_fn(e) == old["mean_below"](e)
 
 
 def test_add_measures_superposition():
@@ -450,12 +515,16 @@ def test_sample_ppp_atoms_sorted_and_floored():
     assert np.all(np.diff(pp.atoms) <= 0)
     assert np.all(pp.atoms >= 1e-4)
     assert pp.truncation_threshold == 1e-4
-    assert not pp.uncompensated
+    assert pp.truncated_mean_mass == mean_mass_below(m, 1e-4)
 
 
-def test_sample_ppp_uncompensated_flag_for_infinite_mean():
-    pp = sample_ppp(stable_measure(0.5, 1.0), RngStream(32, 0), atom_floor=1e-3)
-    assert pp.uncompensated
+def test_sample_ppp_compensates_an_infinite_mean_measure():
+    # int_0^eps x rho(dx) is finite for every Levy measure, M1 = inf or not:
+    # alpha c^alpha eps^{1-alpha} / (1 - alpha) for the stable one
+    alpha, c, eps = 0.5, 1.0, 1e-3
+    pp = sample_ppp(stable_measure(alpha, c), RngStream(32, 0), atom_floor=eps)
+    expect = alpha * c ** alpha * eps ** (1.0 - alpha) / (1.0 - alpha)
+    assert abs(pp.truncated_mean_mass / expect - 1.0) < 1e-14
 
 
 class _OverflowStream:
@@ -558,16 +627,14 @@ def test_sample_id_gamma_measure_exact_law():
     assert ks < 0.015
 
 
-def test_sample_id_stable_fast_path_vs_atom_series():
+@pytest.mark.parametrize("alpha, floor", [(0.5, 1e-5), (0.7, 1e-3)])
+def test_sample_id_stable_fast_path_vs_atom_series(alpha, floor):
     # the exact stable sampler against the truncated atom construction,
-    # shifting the latter by the (uncompensated) truncated mean mass
-    m = stable_measure(0.5, 1.0)
-    t = LevyTriple(0.0, m)
+    # which adds the mean of the dropped atoms itself (0.29 at alpha = 0.7)
+    t = LevyTriple(0.0, stable_measure(alpha, 1.0))
     n = 20_000
     fast = sample_id_batch(t, RngStream(43, 0), n)  # exact sampler path
-    floor = 1e-5
     slow = sample_id_batch(t, RngStream(44, 0), n, atom_floor=floor)
-    slow = slow + mean_mass_below(m, floor)
     both = np.sort(np.concatenate([fast, slow]))
     f_fast = np.searchsorted(np.sort(fast), both, side="right") / n
     f_slow = np.searchsorted(np.sort(slow), both, side="right") / n

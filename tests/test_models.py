@@ -9,8 +9,9 @@ from scipy import integrate
 from scipy import stats as st
 
 from levynet import levy
-from levynet.models import (MODEL_NAMES, check_id_conditions, gen_bfry_density,
-                            make_model, measure_from_spec, model_from_spec,
+from levynet.models import (MODEL_NAMES, _inverse_laplace_exponent,
+                            check_id_conditions, gen_bfry_density, make_model,
+                            measure_from_spec, model_from_spec,
                             sample_variances)
 from levynet.rng import RngStream
 from levynet.stats import ks_distance
@@ -129,6 +130,39 @@ def test_perman_generic_matches_gamma_limit():
     draws = m.sample(300, RngStream(10, 0), n=3000)
     sums = draws.sum(axis=1)
     assert ks_distance(sums, st.gamma(1.0).cdf) < 0.035
+
+
+@pytest.mark.parametrize("q", [300.0, 360.0, 400.0])
+def test_inverse_laplace_exponent_of_gamma_far_out(q):
+    # psi(t) = eta log(1 + t / r) for gamma(eta, r), so psi^{-1}(eta q) is
+    # r expm1(q), up to 5e173 here
+    eta, rate = 2.0, 0.5
+    b = _inverse_laplace_exponent(levy.gamma_measure(eta, rate), eta * q)
+    assert abs(b / (rate * math.expm1(q)) - 1.0) < 1e-10
+
+
+def test_inverse_laplace_exponent_past_1e200_is_a_clear_error():
+    with pytest.raises(ValueError, match="exceeds 1e200"):
+        _inverse_laplace_exponent(levy.gamma_measure(1.0, 1.0), 500.0)
+
+
+def test_perman_generic_at_a_far_out_psi_inverse():
+    # psi^{-1}(2000) = e^400 - 1 for gamma(5, 1)
+    m = make_model("perman_generic",
+                   measure={"name": "gamma", "params": {"eta": 5.0, "rate": 1.0}})
+    sums = m.sample(2000, RngStream(10, 0), n=3000).sum(axis=1)
+    assert ks_distance(sums, st.gamma(5.0).cdf) < 0.035
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_make_model_without_parameters(name):
+    # a model either needs no parameter or names the one it misses
+    try:
+        model = make_model(name)
+    except ValueError as err:
+        assert repr(name) in str(err) and "needs the parameter" in str(err)
+    else:
+        assert model.name == name
 
 
 @pytest.mark.parametrize("spec", [
