@@ -1,0 +1,174 @@
+"""Pass-rate records for the statistical checks that a correct program can fail.
+
+    python calibration/sweep.py --check 01 --seeds 1000-1039
+
+Runs the experiment behind one check at every seed of an inclusive range,
+with the same call, sizes and worker count as the check, and writes
+calibration/CALIBRATION_<check>.json: the value of every statistic at every
+seed, the pass rate with its 95 % Wilson interval, the mean and standard
+deviation of each statistic with its band and the number of seeds in band, the
+exact target where one is known, the commit and the environment.  It changes
+no test, bound or seed; it only records how often a correct program passes.
+
+Checks:
+  01      tests/test_acceptance.py::test_criterion_01_truncation_error_slopes
+  02      tests/test_acceptance.py::test_criterion_02_output_correlation
+  verify  tests/test_experiments.py::test_verify_all_checks_pass
+          (and the exit code of `levynet verify` at its default replicates)
+
+Criterion 07 is not covered: its body is a hand-written test, not one
+experiment call, and a copy of it here would drift from the test.
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from time import perf_counter
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from levynet.stats import run_experiment  # noqa: E402
+
+
+def _all_checks(rep):
+    """Every check of the report, each in band when it passes."""
+    return {c.label: (c.value, c.passed) for c in rep.checks}
+
+
+def _output_corr_bands(rep):
+    """Criterion 02's own bounds: |corr| < 0.02 for the GP-regime models and
+    0.22 <= corr <= 0.38 for beta."""
+    vals = {c.label.split("/")[0]: c.value for c in rep.checks}
+    return {name: (v, 0.22 <= v <= 0.38 if name == "beta" else abs(v) < 0.02)
+            for name, v in vals.items()}
+
+
+CHECKS = {
+    "01": {
+        "test": "tests/test_acceptance.py::test_criterion_01_truncation_error_slopes",
+        "spec": "truncation_error", "replicates": 1000, "workers": 8,
+        "statistics": _all_checks, "exact": {},
+    },
+    "02": {
+        "test": "tests/test_acceptance.py::test_criterion_02_output_correlation",
+        "spec": {"name": "output_corr", "widths": [2000],
+                 "models": ["deterministic", "inverse_gamma", "beta"]},
+        "replicates": 5000, "workers": 8,
+        "statistics": _output_corr_bands,
+        # the exact squared-output correlation of the beta model
+        "exact": {"beta": 0.2501},
+    },
+    "verify": {
+        "test": "tests/test_experiments.py::test_verify_all_checks_pass",
+        "spec": "verify", "replicates": 200, "workers": 1,
+        "statistics": _all_checks, "exact": {},
+    },
+}
+
+
+def wilson_interval(passes, n, z=1.959963984540054):
+    """The 95 % Wilson score interval of a binomial proportion."""
+    if n == 0:
+        return [0.0, 1.0]
+    phat = passes / n
+    centre = (phat + z * z / (2 * n)) / (1 + z * z / n)
+    half = (z / (1 + z * z / n)) * math.sqrt(phat * (1 - phat) / n
+                                             + z * z / (4 * n * n))
+    return [max(0.0, centre - half), min(1.0, centre + half)]
+
+
+def _git(*args):
+    """git's stripped standard output, or None when git cannot run."""
+    try:
+        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                             text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _environment():
+    import numpy
+    import scipy
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "platform": platform.platform(),
+            "cpu": cpu, "cpu_count": os.cpu_count()}
+
+
+def sweep(check, seeds):
+    spec = CHECKS[check]
+    per_seed = []
+    for seed in seeds:
+        t0 = perf_counter()
+        rep = run_experiment(spec["spec"], seed, spec["replicates"],
+                             worker_count=spec["workers"])
+        stats = spec["statistics"](rep)
+        per_seed.append({
+            "seed": seed, "passed": all(ok for _, ok in stats.values()),
+            "values": {k: v for k, (v, _) in stats.items()},
+            "in_band": {k: ok for k, (_, ok) in stats.items()},
+            "seconds": round(perf_counter() - t0, 3)})
+        print(f"seed {seed}: {'pass' if per_seed[-1]['passed'] else 'FAIL'}"
+              f" ({per_seed[-1]['seconds']} s)", flush=True)
+    passes = sum(r["passed"] for r in per_seed)
+    summary = {}
+    for name in per_seed[0]["values"]:
+        vals = [r["values"][name] for r in per_seed]
+        summary[name] = {
+            "mean": statistics.fmean(vals),
+            "sd": statistics.stdev(vals) if len(vals) > 1 else 0.0,
+            "in_band": sum(r["in_band"][name] for r in per_seed),
+            "exact_target": spec["exact"].get(name)}
+    return {
+        "check": check, "test": spec["test"],
+        "call": (f"run_experiment({spec['spec']!r}, seed, "
+                 f"{spec['replicates']}, worker_count={spec['workers']})"),
+        "seeds": [seeds[0], seeds[-1]], "runs": len(per_seed),
+        "passes": passes, "pass_rate": passes / len(per_seed),
+        "wilson_95": wilson_interval(passes, len(per_seed)),
+        "statistics": summary,
+        "commit": _git("rev-parse", "HEAD") or "unknown",
+        "worktree": {None: "unknown", "": "clean"}.get(
+            _git("status", "--porcelain", "--", "src", "calibration/sweep.py"),
+            "dirty"),
+        "environment": _environment(),
+        "per_seed": per_seed,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", required=True, choices=sorted(CHECKS))
+    parser.add_argument("--seeds", required=True,
+                        help="inclusive seed range A-B, e.g. 1000-1039")
+    parser.add_argument("--out", default=HERE, help="output directory")
+    args = parser.parse_args(argv)
+    lo, _, hi = args.seeds.partition("-")
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        parser.error("empty seed range")
+    record = sweep(args.check, seeds)
+    path = os.path.join(args.out, f"CALIBRATION_{args.check}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{record['passes']}/{record['runs']} pass; wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

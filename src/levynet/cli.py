@@ -151,11 +151,10 @@ def build_parser():
         p.add_argument("--replicates", type=int, default=None,
                        help=f"Monte-Carlo replicates "
                             f"(default {DEFAULT_REPLICATES[name]})")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads; the output does not depend on it")
-        p.add_argument("--out", type=str, default=".",
-                       help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--workers", type=int,
+                       help="worker threads (default 1); outputs do not depend on it")
+        p.add_argument("--out", help="output directory (default .)")
+        p.add_argument("--format", choices=("csv", "json"), help="default csv")
     return parser
 
 
@@ -167,15 +166,20 @@ def main(argv=None):
             config = json.load(fh)
         if not isinstance(config, dict):
             raise SystemExit("config file must contain a JSON object")
-    seed = args.seed if args.seed is not None else config.pop("seed", None)
+
+    def setting(key, default):
+        # an explicit flag wins, then the config value, then the default
+        for value in (getattr(args, key), config.pop(key, None), default):
+            if value is not None:
+                return value
+
+    seed = setting("seed", None)
     if seed is None:
         raise SystemExit("a master seed is required (--seed or config)")
-    replicates = (args.replicates if args.replicates is not None
-                  else config.pop("replicates", DEFAULT_REPLICATES[args.command]))
-    workers = config.pop("workers", None)
-    workers = args.workers if workers is None else int(workers)
-    out_dir = config.pop("out", None) or args.out
-    fmt = config.pop("format", None) or args.format
+    replicates = setting("replicates", DEFAULT_REPLICATES[args.command])
+    workers = int(setting("workers", 1))
+    out_dir = setting("out", ".")
+    fmt = setting("format", "csv")
     config["name"] = args.command
 
     report = run_experiment(config, int(seed), int(replicates),

@@ -27,12 +27,27 @@ CLOSED_FORM_ALPHAS = (0.0, 0.5, 1.0, 2.0)
 
 def kappa(alpha, rho):
     """kappa_alpha(rho) = 2 pi E[max(0,X)^alpha max(0,Y)^alpha] for standard
-    correlated Gaussians; closed forms for alpha in {0, 1/2, 1, 2}."""
-    rho = float(rho)
-    if not -1.0 <= rho <= 1.0:
+    Gaussians with correlation rho, elementwise over an array rho (a scalar
+    gives a float): vectorised closed forms for alpha in {0, 1, 2}, entry by
+    entry otherwise (elliptic integrals at 1/2, quadrature elsewhere)."""
+    r = np.asarray(rho, dtype=float)
+    if not (np.abs(r) <= 1.0).all():
         raise ValueError("rho must lie in [-1, 1]")
+    if alpha not in (0.0, 1.0, 2.0):
+        out = np.array([_kappa_entry(alpha, float(v)) for v in r.flat])
+        return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+    theta = math.pi / 2.0 + np.arcsin(r)
     if alpha == 0.0:
-        return math.pi / 2.0 + math.asin(rho)
+        out = theta
+    elif alpha == 1.0:
+        out = np.sqrt(1.0 - r * r) + theta * r
+    else:
+        out = 3.0 * np.sqrt(1.0 - r * r) * r + theta * (1.0 + 2.0 * r * r)
+    return float(out) if out.ndim == 0 else out
+
+
+def _kappa_entry(alpha, rho):
+    """kappa_alpha(rho) of one rho for alpha outside {0, 1, 2}."""
     if alpha == 0.5:
         m = (rho + 1.0) / 2.0
         if m == 1.0:
@@ -40,11 +55,6 @@ def kappa(alpha, rho):
             return math.sqrt(math.pi / 2.0) * 2.0
         return math.sqrt(math.pi / 2.0) * (
             2.0 * elliptic_E(m).value - (1.0 - rho) * elliptic_K(m).value)
-    s = math.sqrt(max(1.0 - rho * rho, 0.0))
-    if alpha == 1.0:
-        return s + (math.pi / 2.0 + math.asin(rho)) * rho
-    if alpha == 2.0:
-        return 3.0 * s * rho + (math.pi / 2.0 + math.asin(rho)) * (1.0 + 2.0 * rho * rho)
     return j_alpha_quadrature(alpha, math.acos(rho))
 
 

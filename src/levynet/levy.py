@@ -805,33 +805,26 @@ def activation_transform(t, act):
     single-input recursion: c = a * E[phi(Z)^2] and
     etabar(x) = int_{phi(z) != 0} rhobar(x / phi(z)^2) phi_N(z) dz.
 
-    Closed forms: linear gives (a, nu); ReLU gives (a/2, nu/2); leaky ReLU with
-    slope beta gives (a (1+beta^2)/2, (nubar(x) + nubar(x/beta^2))/2), where nu
-    is the chi-square mixture of rho.
+    A homogeneous phi(u) = p u_+ + q u_- (p = phi(1), q = phi(-1)) gives
+    c = a (p^2 + q^2) / 2 and etabar(x) = (nubar(x / p^2) + nubar(x / q^2)) / 2
+    with nu the chi-square mixture of rho: nu itself for the linear phi, and
+    the gamma(eta/2, rate 1/2) measure for ReLU on beta(eta, 1/2).
     """
     if not isinstance(act, ActivationKind) or not act.homogeneous:
         raise ValueError("activation transform requires a positive homogeneous activation")
-    a = t.location_a
+    p, q = act.slopes
+    p2, q2 = p * p, q * q
+    c = t.location_a * (p2 + q2) / 2.0
     m = t.measure
-    if act.name == "linear":
-        return a, mix_with_chi2(m)
-    if act.name == "relu":
-        c = a / 2.0
-        if m.kind == "trivial":
-            return c, trivial_measure()
-        if m.name == "beta" and m.params["b"] == 0.5:
-            # stable-beta calculus: the ReLU transform of the beta(eta, 1/2)
-            # measure is the gamma measure with eta/2 and rate 1/2
-            return c, gamma_measure(m.params["eta"] / 2.0, 0.5)
-        return c, scale_mass(mix_with_chi2(m), 0.5)
-    if act.name == "leaky_relu":
-        beta = act.beta
-        c = a * (1.0 + beta * beta) / 2.0
-        if m.kind == "trivial":
-            return c, trivial_measure()
-        nu = mix_with_chi2(m)
-        return c, scale_mass(add_measures(nu, dilate(nu, beta * beta)), 0.5)
-    raise ValueError(f"unsupported homogeneous activation {act.name}")
+    if m.kind == "trivial" or p2 + q2 == 0.0:
+        return c, trivial_measure()
+    if (p, q) == (1.0, 0.0) and m.name == "beta" and m.params["b"] == 0.5:
+        return c, gamma_measure(m.params["eta"] / 2.0, 0.5)
+    nu = mix_with_chi2(m)
+    terms = [nu if s == 1.0 else dilate(nu, s) for s in (p2, q2) if s > 0.0]
+    if p2 == q2:  # a zero slope drops its term; equal halves add up
+        return c, terms[0]
+    return c, scale_mass(terms[0] if len(terms) == 1 else add_measures(*terms), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,20 @@ def forward_law(cfg, lambdas, x, rng, keep=None):
     return zs
 
 
+def _first_variance(cfg, x):
+    """Sigma^{(1)} = sigma_b^2 + sigma_v^2 |x|^2 / d_in of one input vector, for
+    the single-input limit, which needs a positive homogeneous activation."""
+    if not cfg.activation.homogeneous:
+        raise ValueError("the single-input limit requires a positive "
+                         "homogeneous activation")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected one input vector, got shape {x.shape}")
+    if x.size != cfg.d_in:
+        raise ValueError(f"input has {x.size} features, expected {cfg.d_in}")
+    return cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * float(x @ x) / cfg.d_in
+
+
 def simulate_limit_single_input(cfg, x, rng, atom_floor=None, replicates=1):
     """Draws from the infinite-width law of a single input's pre-activations.
 
@@ -242,13 +256,8 @@ def simulate_limit_single_input(cfg, x, rng, atom_floor=None, replicates=1):
     Returns (sigma_chains, outputs) with shapes (replicates, L+1) and
     (replicates, d_out); both squeeze to 1-d when replicates == 1.
     """
-    if not cfg.activation.homogeneous:
-        raise ValueError("the single-input limit requires a positive "
-                         "homogeneous activation (linear, relu, leaky_relu)")
-    x = np.asarray(x, dtype=float)
     n = int(replicates)
-    sigma = np.full(n, cfg.sigma_b ** 2
-                    + cfg.sigma_v ** 2 * float(x @ x) / cfg.d_in)
+    sigma = np.full(n, _first_variance(cfg, x))
     chain = [sigma.copy()]
     for model in cfg.variance_models:
         c, eta = levy.activation_transform(model.limit, cfg.activation)
@@ -267,10 +276,7 @@ def variance_recursion(cfg, x):
     E[Sigma^{(l)}] = sigma_b^2 + sigma_v^2 C_phi (a + M1) E[Sigma^{(l-1)}],
     where C_phi = E[phi(Z)^2] for standard normal Z.  Requires every layer's
     first moment M1 to be finite."""
-    if not cfg.activation.homogeneous:
-        raise ValueError("variance recursion requires a homogeneous activation")
-    x = np.asarray(x, dtype=float)
-    out = [cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * float(x @ x) / cfg.d_in]
+    out = [_first_variance(cfg, x)]
     c_phi = cfg.activation.c_phi
     for model in cfg.variance_models:
         m1 = levy.moment(model.limit.measure, 1)
@@ -284,38 +290,29 @@ def variance_recursion(cfg, x):
 
 
 _MC_BUDGET = 100_000
-# the activations whose conditional outer moment has a closed form
-_CLOSED_FORM = ("linear", "relu", "leaky_relu")
 
 
 def _cond_phi_outer(kmat, act, gen, factor=None):
-    """E[phi(z_i) phi(z_j)] over z ~ N(0, kmat): closed form for linear, ReLU
-    and leaky ReLU, Monte Carlo with a 1e5-draw budget otherwise (tanh),
+    """E[phi(z_i) phi(z_j)] over z ~ N(0, kmat): closed form for positive
+    homogeneous phi, Monte Carlo with a 1e5-draw budget otherwise (tanh),
     drawing z = G F^T from the factor F F^T = kmat that this branch needs.
 
-    Leaky ReLU is phi(u) = relu(u) - beta relu(-u), so by the arc-cosine
-    kernel (Cho & Saul 2009) E[phi(u) phi(v)] = sigma sigma' / (2 pi)
-    [(1 + beta^2) kappa_1(rho) - 2 beta kappa_1(-rho)]; ReLU is beta = 0."""
-    if act.name == "linear":
-        return kmat.copy()
-    if act.name in _CLOSED_FORM:
-        d = np.sqrt(np.clip(np.diag(kmat), 0.0, None))
-        denom = np.outer(d, d)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rho = np.where(denom > 0, kmat / np.where(denom > 0, denom, 1.0), 0.0)
-        rho = np.clip(rho, -1.0, 1.0)
-
-        def kappa1(r):
-            # the closed form of kernels.kappa(1, r), elementwise
-            return np.sqrt(1.0 - r * r) + (math.pi / 2.0 + np.arcsin(r)) * r
-
-        kap = kappa1(rho)
-        if act.name == "leaky_relu":
-            beta = act.beta
-            kap = (1.0 + beta * beta) * kap - 2.0 * beta * kappa1(-rho)
-        return denom * kap / (2.0 * math.pi)
-    fz = act(_gaussian_draws(factor, gen, _MC_BUDGET))
-    return fz.T @ fz / _MC_BUDGET
+    A homogeneous phi(u) = p u_+ + q u_- (p = phi(1), q = phi(-1)) has, by the
+    arc-cosine kernel (Cho & Saul 2009), E[phi(u) phi(v)] = sigma sigma' /
+    (2 pi) [(p^2 + q^2) kappa_1(rho) + 2 p q kappa_1(-rho)]."""
+    if not act.homogeneous:
+        fz = act(_gaussian_draws(factor, gen, _MC_BUDGET))
+        return fz.T @ fz / _MC_BUDGET
+    d = np.sqrt(np.clip(np.diag(kmat), 0.0, None))
+    denom = np.outer(d, d)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.where(denom > 0, kmat / np.where(denom > 0, denom, 1.0), 0.0)
+    rho = np.clip(rho, -1.0, 1.0)
+    p, q = act.slopes
+    kap = (p * p + q * q) * kernels.kappa(1.0, rho)
+    if p * q != 0.0:
+        kap = kap + 2.0 * p * q * kernels.kappa(1.0, -rho)
+    return denom * kap / (2.0 * math.pi)
 
 
 def _factor_with_jitter(kmat):
@@ -336,14 +333,6 @@ def _factor_with_jitter(kmat):
 def _gaussian_draws(factor, gen, count):
     """count rows z = G F^T, iid N(0, F F^T), from a (count, rank) block G."""
     return gen.standard_normal((count, factor.shape[1])) @ factor.T
-
-
-def _envelope_constant(act):
-    """Bound constant for phi(z)^2 relative to the Gaussian scale: the squared
-    Lipschitz constant for homogeneous activations, 1 for bounded ones."""
-    if act.homogeneous:
-        return max(act.c_lip ** 2, 1e-12)
-    return 1.0
 
 
 def sample_random_kernel(cfg, inputs, rng, atom_floor=None):
@@ -380,7 +369,8 @@ def sample_random_kernel(cfg, inputs, rng, atom_floor=None):
     if factor.shape[1] > n:
         factor = np.linalg.qr(factor.T, mode="r").T
     out = [kmat]
-    c_env = _envelope_constant(act)
+    # bound of phi(z)^2 per unit Gaussian scale: c_lip^2 if homogeneous, else 1
+    c_env = max(act.c_lip ** 2, 1e-12) if act.homogeneous else 1.0
     for model in cfg.variance_models:
         triple = model.limit
         m = triple.measure
@@ -394,7 +384,7 @@ def sample_random_kernel(cfg, inputs, rng, atom_floor=None):
             floor = min(levy.default_atom_floor(m), rule)
         pp = levy.sample_ppp(m, rng, atom_floor=floor)
         atoms = pp.atoms
-        if factor is None and (atoms.size or act.name not in _CLOSED_FORM):
+        if factor is None and (atoms.size or not act.homogeneous):
             factor = _factor_with_jitter(kmat)
         cond = _cond_phi_outer(kmat, act, gen, factor)
         a_eff = triple.location_a + pp.truncated_mean_mass
@@ -420,18 +410,13 @@ def stable_case_scale(cfg, x, alpha, rng=None):
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    act = cfg.activation
-    if act.name not in ("relu", "linear"):
-        raise ValueError("stable_case_scale supports relu and linear activations")
-    x = np.asarray(x, dtype=float)
+    sigma = _first_variance(cfg, x)
+    # E|phi(zeta)|^{2 alpha} = (|p|^{2 alpha} + |q|^{2 alpha}) E[zeta_+^{2 alpha}]
+    weight = sum(abs(s) ** (2.0 * alpha) for s in cfg.activation.slopes)
     sv2 = cfg.sigma_v ** 2
-    sigma = cfg.sigma_b ** 2 + sv2 * float(x @ x) / cfg.d_in
     scales = []
     for l in range(cfg.n_hidden):
-        moment = kernels.relu_moment(alpha, sigma)
-        if act.name == "linear":
-            moment *= 2.0
-        r = sv2 * moment ** (1.0 / alpha)
+        r = sv2 * (weight * kernels.relu_moment(alpha, sigma)) ** (1.0 / alpha)
         scales.append(r)
         if l + 1 < cfg.n_hidden:
             if rng is None:

@@ -144,6 +144,37 @@ def test_config_file_values_and_flag_override(tmp_path):
     assert json.loads(_read(out2 / "manifest.json"))["master_seed"] == 12
 
 
+def test_flags_win_over_config_for_workers_out_and_format(tmp_path,
+                                                        monkeypatch):
+    workers = []
+    run = cli.run_experiment
+
+    def spy(*args, worker_count=1):
+        workers.append(worker_count)
+        return run(*args, worker_count=worker_count)
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    cfg_out, flag_out = tmp_path / "from_config", tmp_path / "from_flag"
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"seed": 11, "replicates": 30,
+                                    "widths": [50],
+                                    "models": ["deterministic"],
+                                    "format": "json", "out": str(cfg_out),
+                                    "workers": 2}))
+    # without flags the config values apply
+    assert cli.main(["output_corr", "--config", str(cfg_file)]) == 0
+    assert sorted(os.listdir(cfg_out)) == ["manifest.json", "output_corr.json"]
+    # explicit flags win over them
+    assert cli.main(["output_corr", "--config", str(cfg_file),
+                     "--format", "csv", "--out", str(flag_out),
+                     "--workers", "1"]) == 0
+    manifest = json.loads(_read(flag_out / "manifest.json"))
+    assert manifest["format"] == "csv"
+    assert all(f.endswith(".csv") for f in manifest["files"])
+    assert sorted(os.listdir(cfg_out)) == ["manifest.json", "output_corr.json"]
+    assert workers == [2, 1]
+
+
 def test_missing_seed_rejected(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--out", str(tmp_path / "x")])

@@ -47,6 +47,33 @@ def test_kappa_domain_error():
         kappa(1.0, 1.5)
 
 
+# the closed forms written with the math module, one rho at a time
+_KAPPA_LOOP = {
+    0.0: lambda r: math.pi / 2.0 + math.asin(r),
+    1.0: lambda r: (math.sqrt(1.0 - r * r)
+                    + (math.pi / 2.0 + math.asin(r)) * r),
+    2.0: lambda r: (3.0 * math.sqrt(1.0 - r * r) * r
+                    + (math.pi / 2.0 + math.asin(r)) * (1.0 + 2.0 * r * r)),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 1.5])
+def test_kappa_on_arrays_matches_scalar_entries(alpha):
+    rho = np.linspace(-0.95, 0.95, 12).reshape(3, 4)
+    got = kappa(alpha, rho)
+    assert isinstance(got, np.ndarray) and got.shape == (3, 4)
+    for idx in np.ndindex(rho.shape):
+        assert got[idx] == kappa(alpha, float(rho[idx]))
+        if alpha in _KAPPA_LOOP:
+            # numpy's and libm's arcsin may differ in the last bit
+            assert abs(got[idx] - _KAPPA_LOOP[alpha](rho[idx])) <= 4e-15
+    assert isinstance(kappa(alpha, 0.25), float)
+    assert kappa(alpha, np.array([0.25])).shape == (1,)
+    assert kappa(alpha, np.zeros((0, 2))).shape == (0, 2)
+    with pytest.raises(ValueError):
+        kappa(alpha, np.array([0.2, -1.0 - 1e-12]))
+
+
 def test_kappa_generic_alpha_vs_mc():
     rng = RngStream(71, 0).generator
     n = 400_000

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as st
 
-from levynet import kernels, network
+from levynet import kernels, levy, network
 from levynet.activations import (RELU, TANH, ActivationKind,
                                  activation_from_name, leaky_relu)
 from levynet.levy import LevyTriple, atomic_measure
@@ -256,10 +256,8 @@ def test_leaky_relu_conditional_outer_closed_form():
 def test_leaky_relu_closed_form_matches_monte_carlo_branch():
     beta = 0.2
     act = leaky_relu(beta)
-    # the same activation under a name the closed form does not know takes
-    # the Monte-Carlo branch
-    mc_act = ActivationKind("leaky_relu_mc", act.fn, True, act.c_phi,
-                            beta=beta)
+    # the same function marked non-homogeneous takes the Monte-Carlo branch
+    mc_act = ActivationKind("leaky_relu_mc", act.fn, False, beta=beta)
     a = np.array([0.6, -0.3, 0.2])
     rows = np.vstack([a, -a, 2.5 * a, np.zeros(3),
                       [0.1, 0.9, -0.4], [-0.7, 0.2, 0.5]])
@@ -271,6 +269,34 @@ def test_leaky_relu_closed_form_matches_monte_carlo_branch():
     #                    = d_i d_j sqrt((3/2) (1 + beta^4))
     d = np.sqrt(np.diag(kmat))
     se = (np.outer(d, d) * math.sqrt(1.5 * (1 + beta ** 4))
+          / math.sqrt(network._MC_BUDGET))
+    assert np.all(np.abs(mc - exact) <= 4 * se)
+
+
+def _two_half():
+    """A homogeneous activation the package does not define, with
+    phi(1) = 2 and phi(-1) = -1/2."""
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0, 2.0 * x, 0.5 * x)
+    return ActivationKind("two_half", fn, homogeneous=True)
+
+
+def test_user_homogeneous_activation_closed_form_matches_monte_carlo():
+    act = _two_half()
+    assert act.slopes == (2.0, -0.5) and act.c_phi == 2.125
+    mc_act = ActivationKind("two_half_mc", act.fn, homogeneous=False)
+    a = np.array([0.6, -0.3, 0.2])
+    rows = np.vstack([a, -a, 2.5 * a, np.zeros(3),
+                      [0.1, 0.9, -0.4], [-0.7, 0.2, 0.5]])
+    kmat = rows @ rows.T
+    exact = _cond_phi_outer(kmat, act, None)
+    factor = np.linalg.qr(rows.T, mode="r").T
+    mc = _cond_phi_outer(kmat, mc_act, RngStream(64, 0).generator, factor)
+    # sd(phi(u) phi(v)) <= (E phi(u)^4 E phi(v)^4)^(1/4)
+    #                    = d_i d_j sqrt((3/2) (p^4 + q^4))
+    d = np.sqrt(np.diag(kmat))
+    se = (np.outer(d, d) * math.sqrt(1.5 * (2.0 ** 4 + 0.5 ** 4))
           / math.sqrt(network._MC_BUDGET))
     assert np.all(np.abs(mc - exact) <= 4 * se)
 
@@ -463,3 +489,32 @@ def test_stable_layer_kernel_law():
     # Stable(1/2, r) = IG(1/2, r pi / 4)
     assert ks_distance(diag, st.invgamma(0.5, scale=r * math.pi / 4.0).cdf) \
         < 1.95 / math.sqrt(n) + 0.01
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_stable_case_scale_is_the_transformed_stable_scale(alpha):
+    # r^{(2)} = sigma_v^2 Sigma^{(1)} times the scale of the activation
+    # transform of the Stable(alpha, 1) layer measure
+    model = make_model("inverse_gamma_stable", alpha=alpha)
+    x = np.array([0.7, -1.1])
+    for act in (RELU, activation_from_name("linear"), leaky_relu(0.5),
+                _two_half()):
+        cfg = NetworkConfig(2, 1, [10], 1.3, 0.4, act, [model])
+        sigma1 = 0.4 ** 2 + 1.3 ** 2 * float(x @ x) / 2
+        _, eta = levy.activation_transform(model.limit, act)
+        assert eta.stable[0] == alpha
+        expect = 1.3 ** 2 * sigma1 * eta.stable[1]
+        got = stable_case_scale(cfg, x, alpha)[0]
+        assert abs(got - expect) <= 1e-12 * expect
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg, x: simulate_limit_single_input(cfg, x, RngStream(1, 0)),
+    variance_recursion,
+    lambda cfg, x: stable_case_scale(cfg, x, 0.5),
+], ids=["simulate_limit_single_input", "variance_recursion",
+        "stable_case_scale"])
+def test_single_input_functions_check_the_input_length(call):
+    cfg = _cfg(make_model("inverse_gamma_stable", alpha=0.5))
+    with pytest.raises(ValueError, match="input has 2 features, expected 1"):
+        call(cfg, np.array([1.0, 2.0]))
