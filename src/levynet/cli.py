@@ -43,6 +43,8 @@ DEFAULT_REPLICATES = {
     "verify": 200,
 }
 
+FORMATS = ("csv", "json")
+
 _EXPERIMENT_HELP = {
     "output_dist": "output histogram and log-log tail per variance model",
     "output_corr": "squared-output correlation across widths and models",
@@ -154,12 +156,13 @@ def build_parser():
         p.add_argument("--workers", type=int,
                        help="worker threads (default 1); outputs do not depend on it")
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--format", choices=("csv", "json"), help="default csv")
+        p.add_argument("--format", choices=FORMATS, help="default csv")
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     config = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -180,6 +183,10 @@ def main(argv=None):
     workers = int(setting("workers", 1))
     out_dir = setting("out", ".")
     fmt = setting("format", "csv")
+    if fmt not in FORMATS:
+        # a config value gets the same check as the flag
+        parser.error(f"argument --format: invalid choice: {fmt!r} "
+                     f"(choose from {', '.join(map(repr, FORMATS))})")
     config["name"] = args.command
 
     report = run_experiment(config, int(seed), int(replicates),

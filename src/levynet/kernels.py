@@ -55,6 +55,9 @@ def _kappa_entry(alpha, rho):
             return math.sqrt(math.pi / 2.0) * 2.0
         return math.sqrt(math.pi / 2.0) * (
             2.0 * elliptic_E(m).value - (1.0 - rho) * elliptic_K(m).value)
+    if rho == 1.0:
+        # the pair collapses onto one Gaussian: kappa_alpha(1) = 2 pi E[(X+)^{2 alpha}]
+        return 2.0 * math.pi * relu_moment(alpha, 1.0)
     return j_alpha_quadrature(alpha, math.acos(rho))
 
 

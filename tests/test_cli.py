@@ -175,6 +175,17 @@ def test_flags_win_over_config_for_workers_out_and_format(tmp_path,
     assert workers == [2, 1]
 
 
+def test_config_format_is_checked_like_the_flag(tmp_path, capsys):
+    for argv, config in ((["--format", "xml"], None),
+                         ([], {"format": "xml", **SMALL})):
+        with pytest.raises(SystemExit) as err:
+            _run(tmp_path, "output_corr", *argv, config=config)
+        assert err.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+    # nothing was run or written
+    assert not any(name.startswith("out_") for name in os.listdir(tmp_path))
+
+
 def test_missing_seed_rejected(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--out", str(tmp_path / "x")])

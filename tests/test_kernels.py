@@ -36,6 +36,24 @@ def test_kappa_at_full_correlation():
                    - 2.0 * math.pi * relu_moment(alpha, 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.5])
+def test_kappa_at_full_correlation_outside_the_closed_forms(alpha):
+    # the quadrature's integrand is singular at theta = 0, so rho = 1 takes
+    # kappa_alpha(1) = 2 pi E[(X+)^{2 alpha}] directly
+    assert kappa(alpha, 1.0) == 2.0 * math.pi * relu_moment(alpha, 1.0)
+    assert kappa(alpha, np.array([1.0]))[0] == kappa(alpha, 1.0)
+
+
+def test_kappa_three_halves_at_and_near_full_correlation():
+    # 2 pi E[(X+)^3] = 2 pi sqrt(2) / sqrt(pi) = 5.01326; the slope there is
+    # alpha^2 kappa_{1/2}(1) = 5.6, so 1 - cos(1e-3) = 5e-7 moves it ~3e-6
+    assert abs(kappa(1.5, 1.0) - 5.013256549) < 1e-8
+    assert abs(kappa(1.5, 1.0) - kappa(1.5, math.cos(1e-3))) < 1e-5
+    # 0 < arccos rho < 1e-6 is still refused rather than integrated badly
+    with pytest.raises(ValueError, match="nearly singular"):
+        kappa(1.5, math.cos(1e-7))
+
+
 def test_kappa_monotone_in_rho():
     for alpha in kernels.CLOSED_FORM_ALPHAS:
         vals = [kappa(alpha, r) for r in np.linspace(-1.0, 1.0, 41)]

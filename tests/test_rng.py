@@ -125,12 +125,16 @@ def test_etbfry_pdf_normalizes():
 
 # The samplers build array draws in place.  Each must give the bits of its
 # plain expression, kept here as the reference, and a scalar draw must keep
-# that expression's type.  The etBFRY cases cover the square (1/alpha = 2)
-# and a general power, and sizes across a gamma block edge.
+# that expression's type.  The etBFRY cases cover the square (1/alpha = 2,
+# whose Gamma(1/2) stage is Z^2/2) and a general power, and sizes across a
+# gamma block edge.
 def _plain_etbfry(alpha, t, xi, rng, size):
     gen = rng.generator
     u = gen.random(size)
     b = (xi**alpha + u * ((t + xi) ** alpha - xi**alpha)) ** (1.0 / alpha)
+    if alpha == 0.5:
+        z = gen.standard_normal(size)
+        return z * z * 0.5 / b
     return gen.gamma(1.0 - alpha, size=size) / b
 
 
@@ -140,7 +144,7 @@ _PLAIN_SAMPLERS = {
         lambda rng, size: 3.0 / rng.generator.gamma(2.5, size=size)),
     "half_cauchy": (
         lambda rng, size: sample_half_cauchy(rng, size),
-        lambda rng, size: np.abs(rng.generator.standard_cauchy(size))),
+        lambda rng, size: np.tan(rng.generator.random(size) * (math.pi / 2.0))),
     "pareto": (
         lambda rng, size: sample_pareto(3.0, 2.0, rng, size),
         lambda rng, size: 2.0 * rng.generator.random(size) ** (-1.0 / 3.0)),
@@ -162,3 +166,66 @@ def test_samplers_match_their_plain_expressions(name, size):
     assert type(got) is type(ref)
     assert np.shape(got) == np.shape(ref)
     assert np.array_equal(got, ref)
+
+
+# The half-Cauchy draws by inversion, tan(pi U / 2), and etBFRY at alpha = 1/2
+# draws its Gamma(1/2) stage as Z^2/2.  Each is an identity in law, checked
+# here against the expression it replaced (numpy's standard_cauchy and
+# gamma(0.5)) and against the exact CDF at n = 10^6, at the 1 % level:
+# two-sample 1.628 sqrt(2/n) = 2.3e-3, one-sample 1.628/sqrt(n) = 1.6e-3.
+N_LAW = 1_000_000
+KS_1PCT = 1.628
+
+
+def _two_sample_ks(a, b):
+    both = np.sort(np.concatenate([a, b]))
+    fa = np.searchsorted(np.sort(a), both, side="right") / a.size
+    fb = np.searchsorted(np.sort(b), both, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+def _old_etbfry(alpha, t, xi, rng, size):
+    gen = rng.generator
+    u = gen.random(size)
+    b = (xi**alpha + u * ((t + xi) ** alpha - xi**alpha)) ** (1.0 / alpha)
+    return gen.gamma(1.0 - alpha, size=size) / b
+
+
+_LAW_CASES = {
+    "half_cauchy": (
+        lambda rng, size: sample_half_cauchy(rng, size),
+        lambda rng, size: np.abs(rng.generator.standard_cauchy(size)),
+        st.halfcauchy().cdf),
+    "etbfry_half": (
+        lambda rng, size: sample_etbfry(0.5, 40.0, 1.0, rng, size),
+        lambda rng, size: _old_etbfry(0.5, 40.0, 1.0, rng, size),
+        lambda s: 1.0 - etbfry_tail(s, 0.5, 40.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAW_CASES))
+def test_identity_samplers_match_the_old_expression_and_the_cdf(name):
+    sampler, old, cdf = _LAW_CASES[name]
+    new_draws = sampler(RngStream(51, 0), N_LAW)
+    old_draws = old(RngStream(51, 1), N_LAW)
+    assert _two_sample_ks(new_draws, old_draws) < KS_1PCT * math.sqrt(2.0 / N_LAW)
+    assert ks_distance(new_draws, cdf) < KS_1PCT / math.sqrt(N_LAW)
+
+
+@pytest.mark.parametrize("name", sorted(_LAW_CASES))
+@pytest.mark.parametrize("size", [None, 7, (3, 5), (2, 40_000), 65_536 + 1])
+def test_identity_samplers_keep_shapes_and_types(name, size):
+    draws = _LAW_CASES[name][0](RngStream(52, 0), size)
+    if size is None:
+        assert isinstance(draws, float)
+    else:
+        assert isinstance(draws, np.ndarray) and draws.dtype == np.float64
+        assert draws.shape == np.empty(size).shape
+    assert np.all(np.asarray(draws) >= 0.0) and np.all(np.isfinite(draws))
+
+
+def test_half_cauchy_largest_draw_is_the_top_of_the_uniform_grid():
+    # U < 1 on numpy's 2^-53 grid bounds every draw by tan((1 - 2^-53) pi/2)
+    top = np.tan((1.0 - 2.0**-53) * (math.pi / 2.0))
+    assert 3e15 < top < 6e15
+    assert np.max(sample_half_cauchy(RngStream(53, 0), 10_000)) < top
