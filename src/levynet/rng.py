@@ -126,10 +126,8 @@ def sample_half_cauchy(rng, size=None):
     P(half-Cauchy > 5.7e15) ~ 1.1e-16.
     """
     u = rng.generator.random(size)
-    if size is None:
-        return np.tan(u * (math.pi / 2.0))
     u *= math.pi / 2.0
-    return np.tan(u, out=u)
+    return np.tan(u) if size is None else np.tan(u, out=u)
 
 
 def sample_pareto(tau, c, rng, size=None):
@@ -203,11 +201,7 @@ def _gamma_one_minus(alpha, gen, size):
     if alpha != 0.5:
         return gen.gamma(1.0 - alpha, size=size)
     z = gen.standard_normal(size)
-    if size is None:
-        return z * z * 0.5
-    z *= z
-    z *= 0.5
-    return z
+    return z * z * 0.5
 
 
 def etbfry_tail(s, alpha, t, xi):
