@@ -197,11 +197,17 @@ def sample_etbfry(alpha, t, xi, rng, size=None):
 
 
 def _gamma_one_minus(alpha, gen, size):
-    """Gamma(1 - alpha) draw(s) of unit rate; Z^2/2 at alpha = 1/2."""
+    """Gamma(1 - alpha) draw(s) of unit rate; Z^2/2 at alpha = 1/2, squared
+    in place (two block-sized temporaries per block raised compressibility's
+    peak RSS by about 2 MB)."""
     if alpha != 0.5:
         return gen.gamma(1.0 - alpha, size=size)
     z = gen.standard_normal(size)
-    return z * z * 0.5
+    if size is None:
+        return z * z * 0.5
+    z *= z
+    z *= 0.5
+    return z
 
 
 def etbfry_tail(s, alpha, t, xi):
