@@ -177,8 +177,8 @@ def sample_etbfry(alpha, t, xi, rng, size=None):
     The rates b are formed in the uniforms' array and the gamma draws are
     divided into it block by block, so an array request holds one
     output-sized array.  At alpha = 1/2 the Gamma(1/2) stage is Z^2/2 for a
-    standard normal Z, an identity in law that is several times faster than
-    numpy's gamma(0.5); other alpha draw gamma(1 - alpha).
+    standard normal Z, an identity in law that costs one normal draw in place
+    of numpy's gamma(0.5); other alpha draw gamma(1 - alpha).
     """
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
@@ -198,13 +198,10 @@ def sample_etbfry(alpha, t, xi, rng, size=None):
 
 def _gamma_one_minus(alpha, gen, size):
     """Gamma(1 - alpha) draw(s) of unit rate; Z^2/2 at alpha = 1/2, squared
-    in place (two block-sized temporaries per block raised compressibility's
-    peak RSS by about 2 MB)."""
+    in place so that a block makes no temporaries."""
     if alpha != 0.5:
         return gen.gamma(1.0 - alpha, size=size)
     z = gen.standard_normal(size)
-    if size is None:
-        return z * z * 0.5
     z *= z
     z *= 0.5
     return z
