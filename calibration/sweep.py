@@ -13,6 +13,7 @@ no test, bound or seed; it only records how often a correct program passes.
 Checks:
   01      tests/test_acceptance.py::test_criterion_01_truncation_error_slopes
   02      tests/test_acceptance.py::test_criterion_02_output_correlation
+  09      tests/test_acceptance.py::test_criterion_09_compressibility
   verify  tests/test_experiments.py::test_verify_all_checks_pass
           (and the exit code of `levynet verify` at its default replicates)
 
@@ -34,6 +35,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from scipy import stats as st  # noqa: E402
+
 from levynet.stats import run_experiment  # noqa: E402
 
 
@@ -50,6 +53,34 @@ def _output_corr_bands(rep):
             for name, v in vals.items()}
 
 
+def _compressibility_bands(rep):
+    """Criterion 09's own bounds: for beta, horseshoe and generalized_bfry,
+    mass ratios and pruning errors non-increasing in the width (1 if so, else
+    0) and the final ratio and error fraction below 0.05; the final ratio
+    within 0.03 of 1 for deterministic and of e^{-median Gamma(2)} for
+    inverse_gamma."""
+    by_model = {}
+    for name, width, ratio, err, frac in rep.tables["compressibility"]["rows"]:
+        by_model.setdefault(name, []).append((width, ratio, err, frac))
+    out = {}
+    for name in ("beta", "horseshoe", "generalized_bfry"):
+        _, ratios, errs, fracs = zip(*sorted(by_model[name]))
+        mono = all(a >= b for a, b in zip(ratios, ratios[1:])) and all(
+            a >= b for a, b in zip(errs, errs[1:]))
+        out[f"{name}/non_increasing"] = (float(mono), mono)
+        out[f"{name}/ratio_final"] = (ratios[-1], ratios[-1] < 0.05)
+        out[f"{name}/error_fraction_final"] = (fracs[-1], fracs[-1] < 0.05)
+    for name, target in _GP_RATIO_TARGETS.items():
+        ratio = sorted(by_model[name])[-1][1]
+        out[f"{name}/ratio_final"] = (ratio, abs(ratio - target) <= 0.03)
+    return out
+
+
+# criterion 09's targets for the GP-regime models' final mass ratio
+_GP_RATIO_TARGETS = {"deterministic": 1.0,
+                     "inverse_gamma": math.exp(-st.gamma(2.0).median())}
+
+
 CHECKS = {
     "01": {
         "test": "tests/test_acceptance.py::test_criterion_01_truncation_error_slopes",
@@ -64,6 +95,13 @@ CHECKS = {
         "statistics": _output_corr_bands,
         # the exact squared-output correlation of the beta model
         "exact": {"beta": 0.2501},
+    },
+    "09": {
+        "test": "tests/test_acceptance.py::test_criterion_09_compressibility",
+        "spec": "compressibility", "replicates": 200, "workers": 8,
+        "statistics": _compressibility_bands,
+        "exact": {f"{name}/ratio_final": target
+                  for name, target in _GP_RATIO_TARGETS.items()},
     },
     "verify": {
         "test": "tests/test_experiments.py::test_verify_all_checks_pass",

@@ -4,26 +4,30 @@ Each experiment reproduces one of the simulation studies for single-hidden-
 layer (or depth-3 for the truncation study) ReLU networks with univariate
 inputs, sigma_v = 1 and no bias: output distributions, squared-output
 correlations across widths, largest-weight laws, the epsilon-pruning error
-sweep, random kernel realisations, and compressibility ratios.  Replicates are
-processed in fixed-size chunks keyed by chunk index, so results are identical
-for any worker count.
+sweep, random kernel realisations, and compressibility ratios.
 
-An experiment's independent cells, each reading only its own
-RngStream(master_seed, k) keys, go to one `stats.map_replicates` call, so
-`workers` threads share them; the report is assembled in cell order after.
-A cell is
-  - output_dist, output_corr and max_weight: one chunk of up to 500 replicate
-    rows of one model (for output_corr, of one (model, width));
-  - compressibility: one (model, width), with its mass ratio, paired pruning
-    error and E[Z^2] denominator (whose helpers run with workers=1, so no
-    pool runs inside a pool thread);
-  - verify: the convergence checks of one model.
-truncation_error fans out only the chunks of each alpha in turn: its
-thin-panel QR factors contend for the cores when its alphas run at once.
-kernel_realizations draws serially (see its docstring).  A running cell holds
-one variance array (its rows' variances, built in place by the samplers; two
-for the generalized BFRY's product) plus blocks of at most 65 536 draws, so
-`workers` cells at once need about `workers` variance arrays.
+Each independent cell of an experiment reads one stream of its own,
+RngStream(master_seed, k), in order, so results are identical for any worker
+count.  The cells go to one `stats.map_replicates` call, so `workers` threads
+share them; the report is assembled in cell order after.  A cell and its key:
+  - output_dist, output_corr and max_weight: chunk i of up to 500 replicate
+    rows of the mi-th model (output_corr: of its wi-th width), key 1000 mi + i
+    (output_corr: 1000 mi + 10 wi + i);
+  - compressibility: the k-th (model, width), key k, drawing its mass ratio,
+    paired pruning error and E[Z^2] denominator in turn (with workers=1, so
+    no pool runs inside a pool thread);
+  - verify: the convergence checks of the mi-th model, key 5000 + mi.
+truncation_error fans out the chunks of one alpha at a time, chunk i of the
+ai-th alpha reading key 1000 ai + i: its thin-panel QR factors contend for
+the cores when its alphas run at once.  kernel_realizations draws serially
+(see its docstring).  `_check_keys` guards the strided keys of `_map_chunks`
+and truncation_error against overlap; they stay as they are because criteria
+01 and 02 run on them and a new key would re-roll both.
+
+A running cell holds one variance array (its rows' variances, built in
+place by the samplers; two for the generalized BFRY's product) plus blocks of
+at most 65 536 draws, so `workers` cells at once need about `workers`
+variance arrays.
 
 The one-hidden-layer outputs (output_dist, output_corr and the E[Z^2]
 denominator of compressibility) come from their exact conditional law: given
@@ -170,15 +174,6 @@ def _output_chunk(model, p, d_out, rows, rng):
     return np.sqrt(s)[:, None] * gen.standard_normal((rows, d_out))
 
 
-def _batched_outputs(model, p, n, master_seed, stream_base, workers,
-                     d_out=1):
-    """n draws of the width-p one-hidden-layer ReLU outputs for a unit input,
-    shape (n, d_out); chunk i comes from RngStream(master_seed,
-    stream_base + i) by `_output_chunk`."""
-    return _map_chunks([(partial(_output_chunk, model, p, d_out), stream_base)],
-                       n, master_seed, workers)[0]
-
-
 @stats.register_experiment("output_dist")
 def output_dist(config, master_seed, replicates, workers):
     if replicates < 200:
@@ -285,25 +280,18 @@ def max_weight(config, master_seed, replicates, workers):
                         replicates, master_seed, workers)
     rows = []
     for (name, model), maxw in zip(models, maxws):
-        trivial = model.limit.measure.kind == "trivial"
-        per_width = []
+        # each column's minimum is among its listed points
+        usable = (model.limit.measure.kind != "trivial"
+                  and np.all(maxw > 0))
         for wi, p in enumerate(widths):
             col = np.sort(maxw[:, wi])
             report.add_estimate(f"{name}/median_max_weight_p{p}",
                                 float(np.median(col)), 0.0)
             ks = np.unique(np.linspace(0, col.size - 1, 200).astype(int))
-            per_width.append((p, ks, col[ks]))
-        all_pts = np.concatenate([pts for _, _, pts in per_width])
-        usable = not trivial and np.all(all_pts > 0)
-        all_limits = (_max_weight_limit_cdf(model.limit.measure, all_pts)
-                      if usable else None)
-        pos = 0
-        for p, ks, pts in per_width:
-            limits = (all_limits[pos:pos + pts.size] if usable
-                      else [""] * pts.size)
-            pos += pts.size
-            rows += [[name, p, float(x), (k + 1) / maxw.shape[0],
-                      float(lim) if usable else lim]
+            pts = col[ks]
+            limits = (_max_weight_limit_cdf(model.limit.measure, pts).tolist()
+                      if usable else [""] * pts.size)
+            rows += [[name, p, float(x), (k + 1) / maxw.shape[0], lim]
                      for k, x, lim in zip(ks, pts, limits)]
     report.add_table(
         "max_weight_cdf",
@@ -367,7 +355,7 @@ def kernel_realizations(config, master_seed, replicates, workers):
     column per draw, for beta(eta, eta/2) layers at each eta in `betas`.
 
     Draw i for the k-th eta reads its own RngStream(master_seed,
-    1000 k + i).  The draws run serially in the calling thread,
+    k n_draws + i).  The draws run serially in the calling thread,
     whatever `workers` says: on a 2-vCPU machine 2 replicate threads made
     them about 2x slower than 1, and the threads race to fill the measure's
     lazy atom-floor and inverse-tail caches, so each is built twice."""
@@ -375,8 +363,6 @@ def kernel_realizations(config, master_seed, replicates, workers):
     n_rho = int(config.get("n_rho", 41))
     rhos = np.linspace(-1.0, 1.0, n_rho)
     n_draws = int(replicates)
-    _check_keys([(1000 * bi, n_draws) for bi in range(len(betas))],
-                f"{n_draws} draws")
     report = ExperimentReport("kernel_realizations",
                               config={"betas": betas, "n_rho": n_rho})
     # points on the radius-sqrt(2) circle so |x||x'|/d_in = 1
@@ -392,7 +378,7 @@ def kernel_realizations(config, master_seed, replicates, workers):
         cfg = NetworkConfig(2, 1, [1], 1.0, 0.0, RELU, [model])
 
         draws = [sample_random_kernel(
-            cfg, inputs, RngStream(master_seed, 1000 * bi + i))[1][0, 1:]
+            cfg, inputs, RngStream(master_seed, bi * n_draws + i))[1][0, 1:]
             for i in range(n_draws)]
         for ri, rho in enumerate(rhos):
             rows.append([beta, float(rho), float(gp[ri])]
@@ -416,40 +402,38 @@ _GP_RATIO_LIMITS = {
 }
 
 
-def _compressibility_cell(model, p, kappa, n, master_seed, stream):
+def _compressibility_cell(model, p, kappa, n, rng):
     """One (model, width) cell of compressibility: (the mean kappa mass ratio
     of n variance draws, the paired kappa-pruning error of the output, that
-    error over E[Z^2] from at least 200 output draws)."""
-    rng = RngStream(master_seed, stream)
+    error over E[Z^2] from at least 200 output draws), drawn from rng in that
+    order."""
     ratio = float(np.mean([pruning.compressibility_ratio(row, kappa)
                            for row in model.sample(p, rng, p_next=1, n=n)]))
     cfg = NetworkConfig(1, 1, [p], 1.0, 0.0, RELU, [model])
     rule = pruning.PruningRule("kappa", kappa=kappa)
-    err, _ = pruning.paired_pruning_error(cfg, np.array([1.0]), rule, n,
-                                          rng.substream(1))
-    z2 = np.mean(_batched_outputs(model, p, max(n, 200), master_seed,
-                                  stream + 5, 1)[:, 0] ** 2)
+    err, _ = pruning.paired_pruning_error(cfg, np.array([1.0]), rule, n, rng)
+    z = np.concatenate([_output_chunk(model, p, 1, rows, rng)
+                        for rows in _chunks(max(n, 200))])
+    z2 = np.mean(z[:, 0] ** 2)
     return ratio, float(err[-1]), float(err[-1] / z2)
 
 
 @stats.register_experiment("compressibility")
 def compressibility(config, master_seed, replicates, workers):
+    """The kappa mass ratio, the paired kappa-pruning error and its fraction
+    of E[Z^2] of one-hidden-layer networks, per model and width.  The k-th
+    (model, width) cell, models outer, reads RngStream(master_seed, k)."""
     widths = [int(w) for w in config.get("widths", (500, 2000, 8000))]
     kappa = float(config.get("kappa", 0.5))
     models = sorted(standard_models(config.get("models")).items())
     report = ExperimentReport("compressibility",
                               config={"widths": widths, "kappa": kappa,
                                       "models": [name for name, _ in models]})
-    keyed = [(model, p, 1000 * mi + 10 * wi)
-             for mi, (_, model) in enumerate(models)
-             for wi, p in enumerate(widths)]
-    # a cell reads its own stream k and its E[Z^2] chunks' from k + 5 on
-    z2_chunks = len(_chunks(max(int(replicates), 200)))
-    _check_keys([r for *_, k in keyed for r in ((k, 1), (k + 5, z2_chunks))],
-                f"{replicates} replicates")
+    keyed = enumerate((model, p) for _, model in models for p in widths)
     cells = iter(_map_cells(
         [partial(_compressibility_cell, model, p, kappa, int(replicates),
-                 master_seed, k) for model, p, k in keyed], workers))
+                 RngStream(master_seed, k)) for k, (model, p) in keyed],
+        workers))
     rows = []
     for name, model in models:
         ratios, err_fracs = [], []

@@ -403,7 +403,8 @@ def check_id_conditions(model, p_grid, x_grid, h_grid, replicates, rng,
       (ii) p E[lambda 1{lambda <= h}] -> a + int_0^h x rho(dx)
 
     Each grid point is reported as an estimate with standard error and a
-    pass/fail check at 3 standard errors against the declared limit.
+    pass/fail check at 3 standard errors against the declared limit.  The
+    widths' variances are drawn from rng in p_grid order.
     """
     limit = model.limit
     report = ExperimentReport(
@@ -411,9 +412,8 @@ def check_id_conditions(model, p_grid, x_grid, h_grid, replicates, rng,
         config={"model": model.to_dict(), "p_grid": list(p_grid),
                 "x_grid": list(x_grid), "h_grid": list(h_grid)},
         master_seed=rng.master_seed, replicate_count=replicates)
-    for pi, p in enumerate(p_grid):
-        draws = model.sample(p, rng.substream(1000 + pi), p_next=p_next,
-                             n=replicates)
+    for p in p_grid:
+        draws = model.sample(p, rng, p_next=p_next, n=replicates)
         flat = draws.ravel()
         n_total = flat.size
         for x in x_grid:

@@ -243,7 +243,7 @@ def _first_variance(cfg, x):
     return cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * float(x @ x) / cfg.d_in
 
 
-def simulate_limit_single_input(cfg, x, rng, atom_floor=None, replicates=1):
+def simulate_limit_single_input(cfg, x, rng, replicates=1):
     """Draws from the infinite-width law of a single input's pre-activations.
 
     The conditional variance chain is Sigma^{(1)} = sigma_b^2 +
@@ -261,7 +261,7 @@ def simulate_limit_single_input(cfg, x, rng, atom_floor=None, replicates=1):
     chain = [sigma.copy()]
     for model in cfg.variance_models:
         c, eta = levy.activation_transform(model.limit, cfg.activation)
-        s = levy.sample_id_batch(levy.LevyTriple(c, eta), rng, n, atom_floor)
+        s = levy.sample_id_batch(levy.LevyTriple(c, eta), rng, n)
         sigma = cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * s * sigma
         chain.append(sigma.copy())
     chains = np.stack(chain, axis=1)
@@ -335,7 +335,7 @@ def _gaussian_draws(factor, gen, count):
     return gen.standard_normal((count, factor.shape[1])) @ factor.T
 
 
-def sample_random_kernel(cfg, inputs, rng, atom_floor=None):
+def sample_random_kernel(cfg, inputs, rng):
     """One draw of the random covariance kernels K^{(1..L+1)} on a small batch
     of inputs (n <= 64 rows).
 
@@ -374,8 +374,8 @@ def sample_random_kernel(cfg, inputs, rng, atom_floor=None):
     for model in cfg.variance_models:
         triple = model.limit
         m = triple.measure
-        floor = atom_floor
-        if floor is None and m.kind == "analytic":
+        floor = None
+        if m.kind == "analytic":
             # keep atoms whose worst-case kernel contribution exceeds 1e-8 of
             # the running trace
             trace = max(float(np.trace(kmat)), 1e-300)

@@ -60,14 +60,6 @@ class RngStream:
             self._generator = np.random.Generator(bitgen)
         return self._generator
 
-    def substream(self, index):
-        """A fresh stream with the same master seed and the given index."""
-        return RngStream(self.master_seed, index)
-
-    def fresh(self):
-        """A rewound copy of this stream (restarts the sequence)."""
-        return RngStream(self.master_seed, self.stream_index)
-
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 

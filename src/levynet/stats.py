@@ -1,8 +1,8 @@
 """Statistical oracles and the deterministic Monte-Carlo harness.
 
-Everything here is replicate-indexed: a replicate i always draws from the
-random substream keyed by i, so results are identical whatever the worker
-count, and aggregations use pairwise summation (numpy's default) to keep them
+Everything here is replicate-indexed: a task i reads only the random stream
+of its own cell, whichever thread runs it, so results are identical whatever
+the worker count, and aggregations use pairwise summation (numpy's default) to keep them
 bitwise stable under re-chunking.
 """
 

@@ -3,16 +3,17 @@ determinism."""
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import stats as st
 
 from levynet import experiments
-from levynet.experiments import (STANDARD_MODEL_NAMES, _batched_outputs,
+from levynet.experiments import (STANDARD_MODEL_NAMES, _map_chunks,
                                  _max_weight_chunk, _output_chunk,
                                  standard_models)
-from levynet.models import make_model
+from levynet.models import check_id_conditions, make_model
 from levynet.rng import RngStream
 from levynet.stats import experiment_names, run_experiment
 
@@ -145,8 +146,15 @@ def test_experiments_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# _batched_outputs: the conditional law over the active ReLU units
+# _output_chunk: the conditional law over the active ReLU units
 # ---------------------------------------------------------------------------
+
+def _outputs(model, p, n, seed, base, workers, d_out=1):
+    """n one-hidden-layer outputs, shape (n, d_out), chunk i by `_output_chunk`
+    from RngStream(seed, base + i)."""
+    return _map_chunks([(partial(_output_chunk, model, p, d_out), base)],
+                       n, seed, workers)[0]
+
 
 def _explicit_weights_outputs(model, p, n, seed, d_out):
     """The reference: n outputs Z_k = sum_j sqrt(lambda_j) relu(g_j) v_jk
@@ -163,7 +171,7 @@ def _explicit_weights_outputs(model, p, n, seed, d_out):
 def test_batched_outputs_match_explicit_weights_in_law(name):
     model = standard_models([name])[name]
     p, n = 200, 4000
-    z = _batched_outputs(model, p, n, 21, 0, 2, d_out=2)
+    z = _outputs(model, p, n, 21, 0, 2, d_out=2)
     ref = _explicit_weights_outputs(model, p, n, 22, d_out=2)
     for stat in (lambda a: a[:, 0], lambda a: a[:, 1],
                  lambda a: a[:, 0] ** 2 * a[:, 1] ** 2):
@@ -176,7 +184,7 @@ def test_batched_outputs_second_moment(name):
     model = standard_models([name])[name]
     p, n = 200, 20_000
     mean_lam = 1.0 / p if name == "deterministic" else (1 / p) / (1 / p + 0.5)
-    z2 = _batched_outputs(model, p, n, 23, 0, 1)[:, 0] ** 2
+    z2 = _outputs(model, p, n, 23, 0, 1)[:, 0] ** 2
     z = (z2.mean() - p * mean_lam / 2) / (z2.std() / math.sqrt(n))
     assert abs(z) <= 4
 
@@ -184,11 +192,11 @@ def test_batched_outputs_second_moment(name):
 def test_batched_outputs_width_one_half_zero():
     model = standard_models(["beta"])["beta"]
     n = 2000
-    z = _batched_outputs(model, 1, n, 24, 0, 1)[:, 0]
+    z = _outputs(model, 1, n, 24, 0, 1)[:, 0]
     zero = float(np.mean(z == 0.0))
     assert abs(zero - 0.5) <= 4 * math.sqrt(0.25 / n)
     # single-row chunks, some with no active unit: they run and give 0
-    singles = np.array([_batched_outputs(model, 1, 1, 25, i, 1)[0, 0]
+    singles = np.array([_outputs(model, 1, 1, 25, i, 1)[0, 0]
                         for i in range(20)])
     assert np.any(singles == 0.0) and np.any(singles != 0.0)
 
@@ -208,7 +216,7 @@ class _CountingModel:
 def test_batched_outputs_draw_variances_only_for_active_units():
     model = _CountingModel(standard_models(["beta"])["beta"])
     p, n, seed, base = 200, 1200, 26, 7
-    _batched_outputs(model, p, n, seed, base, 1)
+    _outputs(model, p, n, seed, base, 1)
     # each chunk's first draw is its per-row count of active units
     active = [int(RngStream(seed, base + i).generator
                   .binomial(p, 0.5, size=rows).sum())
@@ -258,7 +266,7 @@ def _traced_peak(fn, *args):
 def test_output_chunk_holds_one_variance_array():
     # 200 rows at p = 8000 hold about 800 000 active units: 6.4 MB of
     # variances, and squared normals in blocks of 65 536
-    peak = _traced_peak(_batched_outputs, make_model("beta", eta=1, b=0.5),
+    peak = _traced_peak(_outputs, make_model("beta", eta=1, b=0.5),
                         8000, 200, 0, 5, 1)
     assert peak <= 12e6
 
@@ -300,9 +308,6 @@ def test_output_dist_names_model_and_width_when_outputs_are_zero():
     # so width 0's chunk 10 would be width 1's chunk 0
     ({"name": "output_corr", "widths": [10, 20],
       "models": ["deterministic"]}, 5500),
-    ({"name": "compressibility", "widths": [10, 20],
-      "models": ["deterministic"]}, 2600),
-    ({"name": "kernel_realizations", "betas": [1.0, 10.0]}, 1001),
     ({"name": "output_dist", "width": 10,
       "models": ["deterministic", "inverse_gamma"]}, 500_001),
     ({"name": "max_weight", "widths": [10],
@@ -313,6 +318,49 @@ def test_experiments_refuse_to_share_a_stream(spec, replicates):
     # each check runs before the first draw
     with pytest.raises(ValueError, match="which another cell reads"):
         run_experiment(spec, 1, replicates)
+
+
+@pytest.mark.parametrize("spec, replicates, shape", [
+    # past the 2 500 replicates and 1 000 draws at which these experiments'
+    # strided stream keys used to reach another cell's
+    ({"name": "compressibility", "widths": [10, 20],
+      "models": ["deterministic"]}, 2600, (2, 5)),
+    ({"name": "kernel_realizations", "betas": [1.0, 2.0], "n_rho": 3}, 1001,
+     (2 * 3, 3 + 1001)),
+], ids=["compressibility-2600", "kernel_realizations-1001"])
+def test_cells_take_any_replicate_count(spec, replicates, shape):
+    (table,) = run_experiment(spec, 1, replicates).tables.values()
+    assert (len(table["rows"]), len(table["columns"])) == shape
+
+
+def _record_stream_keys(monkeypatch):
+    """The (master_seed, stream_index) of every RngStream constructed from
+    here on, in order."""
+    keys = []
+    init = RngStream.__init__
+
+    def recording(self, master_seed, stream_index=0):
+        init(self, master_seed, stream_index)
+        keys.append((self.master_seed, self.stream_index))
+
+    monkeypatch.setattr(RngStream, "__init__", recording)
+    return keys
+
+
+def test_cells_construct_distinct_streams(monkeypatch):
+    # each cell reads one stream of its own: a key built by two cells would
+    # make their rows correlated estimates
+    keys = _record_stream_keys(monkeypatch)
+    spec = {"name": "compressibility", "widths": [10, 20],
+            "models": ["deterministic", "beta"]}
+    run_experiment(spec, 3, 10)
+    assert len(keys) == 4 and len(set(keys)) == len(keys), keys
+    keys.clear()
+    # verify's convergence checks: one stream per model, two widths each
+    for mi, name in enumerate(["deterministic", "beta"]):
+        check_id_conditions(standard_models([name])[name], [10, 20], [0.5],
+                            [1.0], 10, RngStream(3, 5000 + mi), p_next=1)
+    assert len(set(keys)) == len(keys), keys
 
 
 def test_a_model_without_its_parameters_is_named():

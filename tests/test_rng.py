@@ -28,15 +28,6 @@ def test_streams_differ_by_index_and_seed():
     assert not np.array_equal(base, RngStream(124, 7).generator.standard_normal(64))
 
 
-def test_substream_and_fresh():
-    s = RngStream(5, 2)
-    assert s.substream(9).stream_index == 9
-    assert s.substream(9).master_seed == 5
-    first = s.generator.standard_normal(8)
-    again = s.fresh().generator.standard_normal(8)
-    assert np.array_equal(first, again)
-
-
 def test_stream_validation():
     with pytest.raises(ValueError):
         RngStream(-1)
