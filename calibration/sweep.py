@@ -53,6 +53,11 @@ def _output_corr_bands(rep):
             for name, v in vals.items()}
 
 
+# criterion 09's targets for the GP-regime models' final mass ratio
+_GP_RATIO_TARGETS = {"deterministic": 1.0,
+                     "inverse_gamma": math.exp(-st.gamma(2.0).median())}
+
+
 def _compressibility_bands(rep):
     """Criterion 09's own bounds: for beta, horseshoe and generalized_bfry,
     mass ratios and pruning errors non-increasing in the width (1 if so, else
@@ -74,11 +79,6 @@ def _compressibility_bands(rep):
         ratio = sorted(by_model[name])[-1][1]
         out[f"{name}/ratio_final"] = (ratio, abs(ratio - target) <= 0.03)
     return out
-
-
-# criterion 09's targets for the GP-regime models' final mass ratio
-_GP_RATIO_TARGETS = {"deterministic": 1.0,
-                     "inverse_gamma": math.exp(-st.gamma(2.0).median())}
 
 
 CHECKS = {

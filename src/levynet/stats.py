@@ -2,8 +2,8 @@
 
 Everything here is replicate-indexed: a task i reads only the random stream
 of its own cell, whichever thread runs it, so results are identical whatever
-the worker count, and aggregations use pairwise summation (numpy's default) to keep them
-bitwise stable under re-chunking.
+the worker count, and aggregations use pairwise summation (numpy's default)
+to keep them bitwise stable under re-chunking.
 """
 
 import math
