@@ -18,6 +18,7 @@ __all__ = [
     "kappa",
     "j_alpha_quadrature",
     "relu_moment",
+    "homogeneous_moment",
     "gp_relu_kernel",
     "kernel_cond_stats",
 ]
@@ -93,6 +94,13 @@ def relu_moment(alpha, sigma11):
         raise ValueError("sigma11 must be >= 0")
     return (sigma11 ** alpha * 2.0 ** (alpha - 1.0)
             * math.gamma(alpha + 0.5) / math.sqrt(math.pi))
+
+
+def homogeneous_moment(act, alpha, sigma11):
+    """E|phi(X)|^{2 alpha} for X ~ N(0, sigma11) and a positive homogeneous
+    phi with slopes (p, q): (|p|^{2 alpha} + |q|^{2 alpha}) E[max(0, X)^{2 alpha}]."""
+    weight = sum(abs(s) ** (2.0 * alpha) for s in act.slopes)
+    return weight * relu_moment(alpha, sigma11)
 
 
 def gp_relu_kernel(x, x_prime, d_in):

@@ -19,6 +19,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from .activations import ActivationKind
+from .kernels import homogeneous_moment
 from .rng import sample_positive_stable
 from .special import upper_incomplete_gamma
 
@@ -35,9 +36,6 @@ __all__ = [
     "gg_pareto_measure",
     "scaled_stable_beta_measure",
     "finite_measure",
-    "scale_mass",
-    "dilate",
-    "add_measures",
     "tail_intensity",
     "inverse_tail_intensity",
     "moment",
@@ -68,9 +66,11 @@ class MeasureDescriptor:
     intensity and moments, and optionally a closed-form inverse tail, density
     and small-mass integral.
 
-    stable = (alpha, c) marks the alpha-stable family
-    alpha c^alpha x^{-alpha-1} dx, the horseshoe measure included; the
-    measure algebra and the ID sampler take their closed forms from it.
+    family tags the two families with closed forms downstream:
+    ("stable", alpha, c) for alpha c^alpha x^{-alpha-1} dx, the horseshoe
+    measure included, and ("beta", eta, b) for the beta measure.  The
+    chi-square mixture, the activation transform and the ID sampler take
+    their closed forms from it.
     inverse_cache holds (u_max, tabulated inverse tail) and floor_cache the
     default atom floor once computed; neither takes part in == or repr.
     """
@@ -86,7 +86,7 @@ class MeasureDescriptor:
     moment_fn: object = None          # k -> M_k (may return inf)
     mean_below_fn: object = None      # eps -> int_0^eps x rho(dx)
     finite_sampler: object = None     # rng, size -> draws from rho/|rho| (finite measures)
-    stable: tuple = None              # (alpha, c) for the alpha-stable family
+    family: tuple = None              # ("stable", alpha, c), ("beta", eta, b)
     inverse_cache: tuple = field(default=None, repr=False, compare=False)
     floor_cache: float = field(default=None, repr=False, compare=False)
 
@@ -282,7 +282,7 @@ def stable_measure(alpha, c):
         density_fn=lambda x: alpha * ca * np.asarray(x, dtype=float) ** (-alpha - 1.0),
         moment_fn=lambda k: math.inf,
         mean_below_fn=lambda e: alpha * ca * e ** (1.0 - alpha) / (1.0 - alpha),
-        stable=(alpha, c),
+        family=("stable", alpha, c),
     )
 
 
@@ -408,6 +408,7 @@ def beta_measure(eta, b):
         / np.asarray(x, dtype=float),
         moment_fn=mom,
         mean_below_fn=lambda e: eta * (1.0 - (1.0 - min(e, 1.0)) ** b) / b,
+        family=("beta", eta, b),
     )
 
 
@@ -537,88 +538,6 @@ def finite_measure(total_mass, survival, sampler=None, density=None,
         moment_fn=mom,
         mean_below_fn=mean_fn,
         finite_sampler=sampler,
-    )
-
-
-# ---------------------------------------------------------------------------
-# measure algebra
-# ---------------------------------------------------------------------------
-
-def _affine(m, mass, s, name, params):
-    """The generic analytic measure with tail mass * rhobar(x / s): rho
-    pushed forward under x -> s x, then scaled by mass.  A unit mass or s
-    multiplies and divides exactly, so scale_mass and dilate keep every
-    value of their own expressions."""
-    tail0, inv0, dens0 = m.tail_fn, m.inverse_tail_fn, m.density_fn
-    mom0, mb0 = m.moment_fn, m.mean_below_fn
-    return MeasureDescriptor(
-        kind="analytic", name=name, params=params,
-        support=(m.support[0] * s, m.support[1] * s),
-        tail_fn=lambda x: mass * tail0(np.asarray(x, dtype=float) / s),
-        inverse_tail_fn=None if inv0 is None else
-        (lambda u: s * inv0(np.asarray(u, dtype=float) / mass)),
-        density_fn=None if dens0 is None else
-        (lambda x: mass * dens0(np.asarray(x, dtype=float) / s) / s),
-        moment_fn=None if mom0 is None else (lambda k: mass * s**k * mom0(k)),
-        mean_below_fn=None if mb0 is None else (lambda e: mass * s * mb0(e / s)),
-    )
-
-
-def scale_mass(m, factor):
-    """The measure factor * rho (same atoms, scaled intensity)."""
-    if factor <= 0:
-        raise ValueError("factor must be > 0")
-    if m.kind == "trivial":
-        return trivial_measure()
-    if m.kind == "atomic":
-        return atomic_measure([(x, w * factor) for x, w in m.atoms], name=m.name)
-    if m.stable is not None:
-        alpha, c = m.stable
-        return stable_measure(alpha, c * factor ** (1.0 / alpha))
-    return _affine(m, factor, 1.0, f"scaled({m.name})",
-                   {"factor": factor, "base": m.params})
-
-
-def dilate(m, s):
-    """The pushforward of rho under x -> s x (atom sizes scaled by s > 0)."""
-    if s <= 0:
-        raise ValueError("s must be > 0")
-    if m.kind == "trivial":
-        return trivial_measure()
-    if m.kind == "atomic":
-        return atomic_measure([(x * s, w) for x, w in m.atoms], name=m.name)
-    if m.stable is not None:
-        alpha, c = m.stable
-        return stable_measure(alpha, c * s)
-    return _affine(m, 1.0, s, f"dilated({m.name})", {"s": s, "base": m.params})
-
-
-def add_measures(m1, m2):
-    """The superposition rho1 + rho2."""
-    if m1.kind == "trivial":
-        return m2
-    if m2.kind == "trivial":
-        return m1
-    if m1.kind == "atomic" and m2.kind == "atomic":
-        return atomic_measure(list(m1.atoms) + list(m2.atoms))
-    if m1.stable is not None and m2.stable is not None \
-            and m1.stable[0] == m2.stable[0]:
-        a = m1.stable[0]
-        return stable_measure(a, (m1.stable[1] ** a + m2.stable[1] ** a) ** (1.0 / a))
-    t1, t2 = m1.tail_fn, m2.tail_fn
-    if m1.kind == "atomic":
-        t1 = lambda x: tail_intensity(m1, x)
-    if m2.kind == "atomic":
-        t2 = lambda x: tail_intensity(m2, x)
-    return MeasureDescriptor(
-        kind="analytic", name=f"sum({m1.name},{m2.name})",
-        params={"left": m1.to_dict(), "right": m2.to_dict()},
-        support=(min(m1.support[0], m2.support[0]), max(m1.support[1], m2.support[1])),
-        tail_fn=lambda x: t1(x) + t2(x),
-        density_fn=None if (m1.density_fn is None or m2.density_fn is None)
-        else (lambda x: m1.density_fn(x) + m2.density_fn(x)),
-        moment_fn=lambda k: moment(m1, k) + moment(m2, k),
-        mean_below_fn=lambda e: mean_mass_below(m1, e) + mean_mass_below(m2, e),
     )
 
 
@@ -763,8 +682,9 @@ def mix_with_chi2(m):
     and beta measures with b in {0.3, 1/2, 1, 1.5, 2, 2.7, 3, 5, 7.3}."""
     if m.kind == "trivial":
         return trivial_measure()
-    if m.stable is not None:
-        a, c = m.stable
+    tag, *args = m.family or (None,)
+    if tag == "stable":
+        a, c = args
         return stable_measure(a, c * _chi2_moment(a) ** (1.0 / a))
     if m.kind == "atomic":
         atoms = m.atoms
@@ -807,24 +727,42 @@ def activation_transform(t, act):
 
     A homogeneous phi(u) = p u_+ + q u_- (p = phi(1), q = phi(-1)) gives
     c = a (p^2 + q^2) / 2 and etabar(x) = (nubar(x / p^2) + nubar(x / q^2)) / 2
-    with nu the chi-square mixture of rho: nu itself for the linear phi, and
-    the gamma(eta/2, rate 1/2) measure for ReLU on beta(eta, 1/2).
+    with nu the chi-square mixture of rho: nu itself for the linear phi, one
+    term of weight 1 when p^2 = q^2, and a zero slope drops its term.  A
+    stable(alpha, s) rho maps to stable(alpha, s w^{1/alpha}) with
+    w = E|phi(Z)|^{2 alpha}, and ReLU maps beta(eta, 1/2) to the
+    gamma(eta/2, rate 1/2) measure.
     """
     if not isinstance(act, ActivationKind) or not act.homogeneous:
         raise ValueError("activation transform requires a positive homogeneous activation")
     p, q = act.slopes
     p2, q2 = p * p, q * q
-    c = t.location_a * (p2 + q2) / 2.0
+    c = t.location_a * act.c_phi
     m = t.measure
+    tag, *args = m.family or (None,)
     if m.kind == "trivial" or p2 + q2 == 0.0:
         return c, trivial_measure()
-    if (p, q) == (1.0, 0.0) and m.name == "beta" and m.params["b"] == 0.5:
-        return c, gamma_measure(m.params["eta"] / 2.0, 0.5)
+    if tag == "stable":
+        alpha, s = args
+        w = homogeneous_moment(act, alpha, 1.0)
+        return c, stable_measure(alpha, s * w ** (1.0 / alpha))
+    if tag == "beta" and args[1] == 0.5 and (p, q) == (1.0, 0.0):
+        return c, gamma_measure(args[0] / 2.0, 0.5)
     nu = mix_with_chi2(m)
-    terms = [nu if s == 1.0 else dilate(nu, s) for s in (p2, q2) if s > 0.0]
-    if p2 == q2:  # a zero slope drops its term; equal halves add up
-        return c, terms[0]
-    return c, scale_mass(terms[0] if len(terms) == 1 else add_measures(*terms), 0.5)
+    if p2 == q2 == 1.0:
+        return c, nu
+    # equal slopes give one term of weight 1; a zero slope gives none
+    w, scales = (1.0 if p2 == q2 else 0.5), {p2, q2} - {0.0}
+    tail0, dens0 = nu.tail_fn, nu.density_fn
+    return c, MeasureDescriptor(
+        kind="analytic", name=f"transform({m.name})",
+        params={"base": m.params, "slopes": [p, q]},
+        tail_fn=lambda x: w * sum(tail0(np.asarray(x, dtype=float) / s)
+                                  for s in scales),
+        density_fn=lambda x: w * sum(dens0(np.asarray(x, dtype=float) / s) / s
+                                     for s in scales),
+        moment_fn=lambda k: w * sum(s**k * moment(nu, k) for s in scales),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -952,8 +890,9 @@ def sample_id_batch(t, rng, n, atom_floor=None):
     if m.kind == "atomic" or m.finite_sampler is not None:
         atoms, _, _ = sample_ppp_matrix(m, rng, atom_floor, n=n)
         return t.location_a + atoms.sum(axis=1)
-    if m.stable is not None and atom_floor is None:
-        draws = sample_positive_stable(*m.stable, rng, n)
+    tag, *args = m.family or (None,)
+    if tag == "stable" and atom_floor is None:
+        draws = sample_positive_stable(*args, rng, n)
         return t.location_a + np.atleast_1d(np.asarray(draws, dtype=float))
     if atom_floor is None:
         atom_floor = default_atom_floor(m)

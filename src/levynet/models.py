@@ -72,31 +72,29 @@ def sample_variances(model, p, rng, p_next=None):
 # slabs for the spike-and-slab model
 # ---------------------------------------------------------------------------
 
-def _make_slab(slab):
-    """(measure_of_H, sampler(rng, size)) for a slab spec
-    {point_mass, gamma, lognormal}."""
+def _make_slab(slab, c):
+    """(c * H, sampler(rng, size) of H) for a slab spec {point_mass, gamma,
+    lognormal} with law H."""
     kind = slab["kind"]
     if kind == "point_mass":
         loc = float(slab["loc"])
         if loc <= 0:
             raise ValueError("point-mass slab location must be > 0")
-        return ("atomic", loc), (lambda rng, size: np.full(size, loc))
+        return levy.atomic_measure([(loc, c)]), lambda rng, size: np.full(size, loc)
     if kind == "gamma":
         shape, rate = float(slab["shape"]), float(slab["rate"])
         dist = st.gamma(shape, scale=1.0 / rate)
-        meas = levy.finite_measure(
-            1.0, dist.sf, density=dist.pdf,
-            mean_fn=None, name="gamma_slab", params=dict(slab))
-        return meas, (lambda rng, size: sample_gamma(shape, rate, rng, size))
-    if kind == "lognormal":
+        sampler = lambda rng, size: sample_gamma(shape, rate, rng, size)
+    elif kind == "lognormal":
         mu, sigma = float(slab["mu"]), float(slab["sigma"])
         dist = st.lognorm(sigma, scale=math.exp(mu))
-        meas = levy.finite_measure(
-            1.0, dist.sf, density=dist.pdf,
-            mean_fn=None, name="lognormal_slab", params=dict(slab))
-        return meas, (lambda rng, size:
-                      np.exp(mu + sigma * rng.generator.standard_normal(size)))
-    raise ValueError(f"unknown slab kind {kind!r}")
+        sampler = lambda rng, size: np.exp(
+            mu + sigma * rng.generator.standard_normal(size))
+    else:
+        raise ValueError(f"unknown slab kind {kind!r}")
+    meas = levy.finite_measure(c, dist.sf, sampler=sampler, density=dist.pdf,
+                               name=f"{kind}_slab", params=dict(slab))
+    return meas, sampler
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +328,7 @@ def _build_model(name, params):
         if c <= 0 or c_tilde < 0:
             raise ValueError("spike_slab needs c > 0, c_tilde >= 0")
         slab = params["slab"]
-        meas, slab_sampler = _make_slab(slab)
-        if isinstance(meas, tuple) and meas[0] == "atomic":
-            limit_measure = levy.atomic_measure([(meas[1], c)])
-        else:
-            limit_measure = levy.scale_mass(meas, c)
-            limit_measure.finite_sampler = slab_sampler
+        limit_measure, slab_sampler = _make_slab(slab, c)
 
         def sampler(p, pn, rng, n):
             take = rng.generator.random((n, p)) < c / p

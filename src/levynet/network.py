@@ -411,12 +411,11 @@ def stable_case_scale(cfg, x, alpha, rng=None):
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     sigma = _first_variance(cfg, x)
-    # E|phi(zeta)|^{2 alpha} = (|p|^{2 alpha} + |q|^{2 alpha}) E[zeta_+^{2 alpha}]
-    weight = sum(abs(s) ** (2.0 * alpha) for s in cfg.activation.slopes)
     sv2 = cfg.sigma_v ** 2
     scales = []
     for l in range(cfg.n_hidden):
-        r = sv2 * (weight * kernels.relu_moment(alpha, sigma)) ** (1.0 / alpha)
+        moment = kernels.homogeneous_moment(cfg.activation, alpha, sigma)
+        r = sv2 * moment ** (1.0 / alpha)
         scales.append(r)
         if l + 1 < cfg.n_hidden:
             if rng is None:

@@ -12,15 +12,14 @@ from scipy import special as sp
 from scipy import stats as st
 
 from levynet import levy
-from levynet.activations import LINEAR, RELU, TANH, leaky_relu
+from levynet.activations import LINEAR, RELU, TANH, ActivationKind, leaky_relu
 from levynet.levy import (LevyTriple, atomic_measure, beta_measure,
-                          default_atom_floor, dilate, gamma_measure,
+                          default_atom_floor, gamma_measure,
                           gg_pareto_measure, horseshoe_measure,
                           inverse_tail_intensity, mean_mass_below,
                           mix_with_chi2, moment, sample_id_batch, sample_ppp,
-                          sample_ppp_matrix, scale_mass,
-                          scaled_stable_beta_measure, stable_measure,
-                          tail_intensity, trivial_measure, add_measures,
+                          sample_ppp_matrix, scaled_stable_beta_measure,
+                          stable_measure, tail_intensity, trivial_measure,
                           activation_transform)
 from levynet.models import make_model
 from levynet.rng import RngStream, sample_positive_stable
@@ -278,81 +277,6 @@ def test_beta_tail_matches_mpmath(b):
     assert np.shape(beta_measure(1.0, b).tail_fn(0.2)) == ()
 
 
-def test_scale_mass_and_dilate_tails():
-    m = gamma_measure(2.0, 1.5)
-    xs = np.geomspace(0.01, 5.0, 11)
-    assert np.allclose(tail_intensity(scale_mass(m, 3.0), xs),
-                       3.0 * tail_intensity(m, xs))
-    assert np.allclose(tail_intensity(dilate(m, 2.0), xs),
-                       tail_intensity(m, xs / 2.0))
-    assert abs(moment(dilate(m, 2.0), 2) - 4.0 * moment(m, 2)) < 1e-9
-
-
-def _old_affine(m, kind, v):
-    # scale_mass's and dilate's own closures before they shared one wrapper
-    tail0, inv0, dens0 = m.tail_fn, m.inverse_tail_fn, m.density_fn
-    mom0, mb0 = m.moment_fn, m.mean_below_fn
-    if kind == "scale":
-        return {"tail": lambda x: v * tail0(x),
-                "inverse": None if inv0 is None else
-                (lambda u: inv0(np.asarray(u, dtype=float) / v)),
-                "density": lambda x: v * dens0(x),
-                "moment": lambda k: v * mom0(k),
-                "mean_below": lambda e: v * mb0(e)}
-    return {"tail": lambda x: tail0(np.asarray(x, dtype=float) / v),
-            "inverse": None if inv0 is None else (lambda u: v * inv0(u)),
-            "density": lambda x: dens0(np.asarray(x, dtype=float) / v) / v,
-            "moment": lambda k: v**k * mom0(k),
-            "mean_below": lambda e: v * mb0(e / v)}
-
-
-@pytest.mark.parametrize("m", [gamma_measure(1.0, 1.0), beta_measure(1.0, 1.5),
-                               beta_measure(2.0, 0.5)],
-                         ids=["gamma", "beta_1_1.5", "beta_half"])
-@pytest.mark.parametrize("kind, v", [("scale", 3.7), ("scale", 0.3),
-                                     ("dilate", 2.9), ("dilate", 0.45)])
-def test_scale_mass_and_dilate_keep_their_values_bit_for_bit(m, kind, v):
-    new = scale_mass(m, v) if kind == "scale" else dilate(m, v)
-    old = _old_affine(m, kind, v)
-    hi = new.support[1]
-    xs = np.geomspace(1e-9, 0.999 * hi if math.isfinite(hi) else 40.0, 57)
-    us = np.geomspace(1e-8, 30.0, 41)
-    assert np.array_equal(new.tail_fn(xs), old["tail"](xs))
-    assert np.array_equal(new.density_fn(xs), old["density"](xs))
-    assert (new.inverse_tail_fn is None) == (old["inverse"] is None)
-    if old["inverse"] is not None:
-        assert np.array_equal(new.inverse_tail_fn(us), old["inverse"](us))
-    ref = levy.MeasureDescriptor(kind="analytic", support=new.support,
-                                 tail_fn=old["tail"],
-                                 inverse_tail_fn=old["inverse"])
-    assert np.array_equal(inverse_tail_intensity(new, us),
-                          inverse_tail_intensity(ref, us))
-    for k in (1, 2, 3):
-        assert new.moment_fn(k) == old["moment"](k)
-    for e in (1e-6, 0.01, 0.4):
-        assert new.mean_below_fn(e) == old["mean_below"](e)
-
-
-def test_add_measures_superposition():
-    m1 = stable_measure(0.5, 1.0)
-    m2 = stable_measure(0.5, 2.0)
-    s = add_measures(m1, m2)
-    # stable + stable of the same index is stable with c = (c1^a + c2^a)^{1/a}
-    assert s.name == "stable" and s.stable[0] == 0.5
-    assert abs(s.params["c"] - (1.0 + 2.0 ** 0.5) ** 2.0) < 1e-12
-    assert s.stable[1] == s.params["c"]
-    # the horseshoe is the 1/2-stable family under another name
-    s2 = add_measures(horseshoe_measure(1.0), m2)
-    assert s2.stable == s.stable
-    assert add_measures(stable_measure(0.7, 1.0), m2).stable is None
-    mixed = add_measures(gamma_measure(1.0, 1.0), beta_measure(1.0, 0.5))
-    xs = np.geomspace(0.01, 0.9, 7)
-    assert np.allclose(
-        tail_intensity(mixed, xs),
-        tail_intensity(gamma_measure(1.0, 1.0), xs)
-        + tail_intensity(beta_measure(1.0, 0.5), xs))
-
-
 def test_mix_with_chi2_stable_closed_form():
     # mixing a stable measure with chi-square(1) rescales c by E[Z^{2a}]^{1/a}
     m = stable_measure(0.5, 1.0)
@@ -360,9 +284,9 @@ def test_mix_with_chi2_stable_closed_form():
     assert mixed.name == "stable"
     expect_c = (2.0 ** 0.5 * math.gamma(1.0) / math.sqrt(math.pi)) ** 2.0
     assert abs(mixed.params["c"] - expect_c) < 1e-12
-    assert mixed.stable == (0.5, mixed.params["c"])
-    assert mix_with_chi2(horseshoe_measure(1.0)).stable == mixed.stable
-    assert mix_with_chi2(gamma_measure(1.0, 1.0)).stable is None
+    assert mixed.family == ("stable", 0.5, mixed.params["c"])
+    assert mix_with_chi2(horseshoe_measure(1.0)).family == mixed.family
+    assert mix_with_chi2(gamma_measure(1.0, 1.0)).family is None
 
 
 @pytest.mark.parametrize("act", [RELU, LINEAR, leaky_relu(0.2)],
@@ -370,12 +294,12 @@ def test_mix_with_chi2_stable_closed_form():
 @pytest.mark.parametrize("name,params", [("horseshoe", {"c": 1.0}),
                                          ("inverse_gamma_stable", {"alpha": 0.7})])
 def test_stable_limits_stay_stable_under_activation(name, params, act):
-    # scale_mass, dilate, add_measures and mix_with_chi2 keep the stable
-    # family, so the transformed limit takes the exact positive-stable sampler
+    # the transform keeps the stable family, so the transformed limit takes
+    # the exact positive-stable sampler
     c, eta = activation_transform(make_model(name, **params).limit, act)
-    assert c == 0.0 and eta.stable is not None
+    assert c == 0.0 and eta.family[0] == "stable"
     draws = sample_id_batch(LevyTriple(c, eta), RngStream(48, 0), 300)
-    exact = sample_positive_stable(*eta.stable, RngStream(48, 0), 300)
+    exact = sample_positive_stable(*eta.family[1:], RngStream(48, 0), 300)
     assert np.array_equal(draws, exact)
 
 
@@ -478,10 +402,9 @@ def test_activation_transform_relu_beta_half_closed_form():
     c, eta = activation_transform(t, RELU)
     assert c == 0.0
     assert eta.name == "gamma"
-    generic = scale_mass(mix_with_chi2(beta_measure(2.0, 0.5)), 0.5)
     xs = np.geomspace(0.05, 4.0, 9)
-    assert np.allclose(tail_intensity(eta, xs), tail_intensity(generic, xs),
-                       rtol=1e-6, atol=1e-9)
+    generic = 0.5 * tail_intensity(mix_with_chi2(beta_measure(2.0, 0.5)), xs)
+    assert np.allclose(tail_intensity(eta, xs), generic, rtol=1e-6, atol=1e-9)
 
 
 def test_activation_transform_linear_and_leaky():
@@ -498,6 +421,60 @@ def test_activation_transform_linear_and_leaky():
     assert np.allclose(tail_intensity(m_leaky, xs), expect, rtol=1e-6)
     assert np.allclose(tail_intensity(m_lin, xs), tail_intensity(nu, xs),
                        rtol=1e-6)
+
+
+def _two_half():
+    # a homogeneous activation the package does not define:
+    # phi(1) = 2 and phi(-1) = -1/2
+    return ActivationKind(
+        "two_half", lambda x: np.where(np.asarray(x, dtype=float) > 0,
+                                       2.0 * np.asarray(x, dtype=float),
+                                       0.5 * np.asarray(x, dtype=float)),
+        homogeneous=True)
+
+
+def _gauss_quad(f, lo, hi):
+    return integrate.quad(lambda z: f(z) * math.exp(-0.5 * z * z)
+                          / math.sqrt(2.0 * math.pi), lo, hi,
+                          epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def _direct_transform_tail(m, act, x):
+    # etabar(x) = int_{phi(z) != 0} rhobar(x / phi(z)^2) phi_N(z) dz on each
+    # half-line, split where x / phi(z)^2 enters the support of rho
+    def f(z):
+        phi = float(act(z))
+        return 0.0 if phi == 0.0 else tail_intensity(m, x / phi ** 2)
+
+    total = 0.0
+    for sign in (1.0, -1.0):
+        slope = abs(float(act(sign)))
+        if slope == 0.0:
+            continue
+        zk = math.sqrt(x / m.support[1]) / slope
+        g = lambda z: f(sign * z)
+        total += _gauss_quad(g, zk, zk + 8.0) + _gauss_quad(g, zk + 8.0, math.inf)
+    return total
+
+
+@pytest.mark.parametrize("act", [RELU, leaky_relu(0.2), _two_half()],
+                         ids=lambda a: a.name)
+@pytest.mark.parametrize("m", [beta_measure(1.0, 1.5),
+                               gg_pareto_measure(4.0, 0.5, 5.0)],
+                         ids=["beta_1_1.5", "gg_pareto"])
+def test_activation_transform_matches_the_integral_over_z(m, act):
+    # the generic branch against the defining integral in z, and its moments
+    # against M_k(eta) = E[phi(Z)^{2k}] M_k(rho), with E[phi(Z)^{2k}] also by
+    # quadrature in z
+    _, eta = activation_transform(LevyTriple(0.0, m), act)
+    for x in (0.01, 0.3, 2.0):
+        direct = _direct_transform_tail(m, act, x)
+        assert abs(tail_intensity(eta, x) / direct - 1.0) < 1e-9
+    for k in (1, 2):
+        g = lambda z: float(act(z)) ** (2 * k)
+        phi_moment = _gauss_quad(g, -math.inf, 0.0) + _gauss_quad(g, 0.0, math.inf)
+        expect = phi_moment * moment(m, k)
+        assert abs(moment(eta, k) / expect - 1.0) < 1e-12
 
 
 def test_activation_transform_rejects_nonhomogeneous():

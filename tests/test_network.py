@@ -502,8 +502,8 @@ def test_stable_case_scale_is_the_transformed_stable_scale(alpha):
         cfg = NetworkConfig(2, 1, [10], 1.3, 0.4, act, [model])
         sigma1 = 0.4 ** 2 + 1.3 ** 2 * float(x @ x) / 2
         _, eta = levy.activation_transform(model.limit, act)
-        assert eta.stable[0] == alpha
-        expect = 1.3 ** 2 * sigma1 * eta.stable[1]
+        assert eta.family[:2] == ("stable", alpha)
+        expect = 1.3 ** 2 * sigma1 * eta.family[2]
         got = stable_case_scale(cfg, x, alpha)[0]
         assert abs(got - expect) <= 1e-12 * expect
 
