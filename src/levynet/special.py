@@ -73,12 +73,67 @@ def lower_incomplete_gamma(s, x):
     return sp.gammainc(s, x) * sp.gamma(s)
 
 
+# Gamma(s, x) for s < 0 takes the continued fraction from this x on.  Against
+# 40-digit mpmath, the upward recurrence's relative error reaches 3.6e-13 on
+# [1, 2) (s = -0.05) and grows with x (1.5e-10 at x = 600), while below 1 it
+# stays under 8.1e-14 for s in [-2.5, -0.05]; the continued fraction stays
+# under 1e-14 on [1, 700] and needs at most 90 terms at x = 1.
+_CF_FROM_X = 1.0
+_CF_MAX_TERMS = 200
+# past this x, Gamma(s, x) < x^{-1} e^{-x} rounds to 0 for s <= 0
+_UNDERFLOW_X = 746.0
+
+
+def _upper_gamma_cf(s, x):
+    """Gamma(s, x) = x^s e^{-x} / (x + 1 - s - 1 (1 - s) / (x + 3 - s -
+    2 (2 - s) / (x + 5 - s - ...))) for the 1-d array x > 0 and s < 0, by the
+    modified Lentz method; each entry leaves the working arrays once it
+    converges.  Both Lentz ratios stay at or above x + i + 1 - s > 0 at
+    term i (by induction on i), so neither needs a guard against 0."""
+    h = np.empty_like(x)
+    idx = np.arange(x.size)
+    b = x + 1.0 - s
+    c = np.full_like(x, math.inf)
+    d = 1.0 / b
+    hi = d.copy()
+    for i in range(1, _CF_MAX_TERMS):
+        an = -i * (i - s)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        hi *= delta
+        done = np.abs(delta - 1.0) <= 2.0 ** -52
+        if done.any():
+            h[idx[done]] = hi[done]
+            left = ~done
+            idx, b, c, d, hi = idx[left], b[left], c[left], d[left], hi[left]
+            if not idx.size:
+                break
+    h[idx] = hi
+    return np.exp(-x) * h * x ** s
+
+
+def _upper_gamma_recurrence(s, x):
+    # shift s up to positive territory, then walk back down with
+    # Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s
+    n = int(math.ceil(-s))
+    if s + n == 0.0:
+        n += 1
+    top = sp.gammaincc(s + n, x) * sp.gamma(s + n)
+    for k in range(n):
+        sk = s + n - 1 - k
+        top = (top - x**sk * np.exp(-x)) / sk
+    return top
+
+
 def upper_incomplete_gamma(s, x):
     """Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt.
 
-    For s <= 0 the value is computed (with x strictly positive) by the downward
-    recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s applied until the
-    parameter is positive, with Gamma(0, x) = E_1(x) handled directly.
+    For s < 0 (with x strictly positive) the value is 0 past x = 746, the
+    continued fraction of Gamma(s, x) on [1, 746], and below 1 the upward
+    recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s walked down
+    from a positive parameter; Gamma(0, x) = E_1(x) is handled directly.
     """
     x = np.asarray(x, dtype=float)
     s = float(s)
@@ -92,12 +147,11 @@ def upper_incomplete_gamma(s, x):
     if s == 0.0:
         out = sp.exp1(x)
         return out if out.shape else float(out)
-    # shift s up to positive territory, then walk back down
-    n = int(math.ceil(-s))
-    if s + n == 0.0:
-        n += 1
-    top = sp.gammaincc(s + n, x) * sp.gamma(s + n)
-    for k in range(n):
-        sk = s + n - 1 - k
-        top = (top - x**sk * np.exp(-x)) / sk
-    return top if np.asarray(top).shape else float(top)
+    out = np.where(x > _UNDERFLOW_X, 0.0, math.nan)
+    far = (x >= _CF_FROM_X) & (x <= _UNDERFLOW_X)
+    near = x < _CF_FROM_X
+    if far.any():
+        out[far] = _upper_gamma_cf(s, x[far])
+    if near.any():
+        out[near] = _upper_gamma_recurrence(s, x[near])
+    return out if out.shape else float(out)

@@ -73,6 +73,19 @@ def test_upper_gamma_vs_quadrature(s, x):
     assert abs(upper_incomplete_gamma(s, x) - oracle) < 1e-10 * max(1.0, abs(oracle))
 
 
+@pytest.mark.parametrize("s", [-0.1, -0.3, -0.5, -0.7, -0.9, -1.7])
+def test_upper_gamma_negative_order_vs_mpmath(s):
+    # 1e-13 relative on x in [1, 700]; where Gamma(s, x) is subnormal (s = -1.7
+    # near x = 700) one unit of the subnormal grid, 2^-1074, is the finest
+    # float64 result, so that much absolute error is allowed on top
+    mp = pytest.importorskip("mpmath")
+    x = np.geomspace(1.0, 700.0, 97)
+    got = upper_incomplete_gamma(s, x)
+    with mp.workdps(40):
+        ref = np.array([float(mp.gammainc(s, a=v)) for v in x])
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref + 2.0 ** -1074)
+
+
 def test_lower_plus_upper_is_gamma():
     for s in (0.3, 1.0, 2.5):
         for x in (0.2, 1.0, 4.0):
