@@ -45,8 +45,8 @@ class RngStream:
     def __init__(self, master_seed, stream_index=0):
         if not (0 <= int(master_seed) < 2**64):
             raise ValueError("master_seed must fit in 64 bits")
-        if int(stream_index) < 0:
-            raise ValueError("stream_index must be nonnegative")
+        if not (0 <= int(stream_index) < 2**64):
+            raise ValueError("stream_index must fit in 64 bits")
         self.master_seed = int(master_seed)
         self.stream_index = int(stream_index)
         self._generator = None

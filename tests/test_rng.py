@@ -37,6 +37,15 @@ def test_stream_validation():
         RngStream(1, -2)
 
 
+def test_stream_index_must_fit_in_64_bits():
+    # the Philox key is two 64-bit words: the largest index keys a stream,
+    # one more is refused at construction, like an out-of-range seed
+    top = RngStream(2 ** 64 - 1, 2 ** 64 - 1).generator.standard_normal(4)
+    assert np.all(np.isfinite(top))
+    with pytest.raises(ValueError, match="stream_index must fit in 64 bits"):
+        RngStream(0, 2 ** 64)
+
+
 def test_gamma_sampler_ks():
     draws = sample_gamma(2.5, 2.0, RngStream(11, 0), N)
     assert ks_distance(draws, st.gamma(2.5, scale=0.5).cdf) < KS_BOUND
