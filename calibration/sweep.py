@@ -13,12 +13,11 @@ no test, bound or seed; it only records how often a correct program passes.
 Checks:
   01      tests/test_acceptance.py::test_criterion_01_truncation_error_slopes
   02      tests/test_acceptance.py::test_criterion_02_output_correlation
+  07      tests/test_acceptance.py::test_criterion_07_extreme_value_law
+          (through the test module's own extreme_value_statistics)
   09      tests/test_acceptance.py::test_criterion_09_compressibility
   verify  tests/test_experiments.py::test_verify_all_checks_pass
           (and the exit code of `levynet verify` at its default replicates)
-
-Criterion 07 is not covered: its body is a hand-written test, not one
-experiment call, and a copy of it here would drift from the test.
 """
 
 import argparse
@@ -34,10 +33,12 @@ from time import perf_counter
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from scipy import stats as st  # noqa: E402
 
 from levynet.stats import run_experiment  # noqa: E402
+from test_acceptance import extreme_value_statistics  # noqa: E402
 
 
 def _all_checks(rep):
@@ -81,32 +82,48 @@ def _compressibility_bands(rep):
     return out
 
 
+def _experiment(spec, replicates, workers, statistics):
+    """A check that is one run_experiment call: seed -> statistics."""
+    return {"call": (f"run_experiment({spec!r}, seed, {replicates}, "
+                     f"worker_count={workers})"),
+            "run": lambda seed: statistics(run_experiment(
+                spec, seed, replicates, worker_count=workers))}
+
+
+# p = 5000 in criterion 07: the exact median of the largest of p variances,
+# c1 / p for deterministic and F^{-1}(2^{-1/p}) for InvGamma(2, 2/p)
+_P07 = 5000
+
 CHECKS = {
     "01": {
         "test": "tests/test_acceptance.py::test_criterion_01_truncation_error_slopes",
-        "spec": "truncation_error", "replicates": 1000, "workers": 8,
-        "statistics": _all_checks, "exact": {},
+        **_experiment("truncation_error", 1000, 8, _all_checks), "exact": {},
     },
     "02": {
         "test": "tests/test_acceptance.py::test_criterion_02_output_correlation",
-        "spec": {"name": "output_corr", "widths": [2000],
-                 "models": ["deterministic", "inverse_gamma", "beta"]},
-        "replicates": 5000, "workers": 8,
-        "statistics": _output_corr_bands,
+        **_experiment({"name": "output_corr", "widths": [2000],
+                       "models": ["deterministic", "inverse_gamma", "beta"]},
+                      5000, 8, _output_corr_bands),
         # the exact squared-output correlation of the beta model
         "exact": {"beta": 0.2501},
     },
+    "07": {
+        "test": "tests/test_acceptance.py::test_criterion_07_extreme_value_law",
+        "call": "extreme_value_statistics(seed)",
+        "run": lambda seed: extreme_value_statistics(seed)[0],
+        "exact": {"deterministic/median_max": 1.0 / _P07,
+                  "inverse_gamma/median_max": float(st.invgamma(
+                      2.0, scale=2.0 / _P07).ppf(2.0 ** (-1.0 / _P07)))},
+    },
     "09": {
         "test": "tests/test_acceptance.py::test_criterion_09_compressibility",
-        "spec": "compressibility", "replicates": 200, "workers": 8,
-        "statistics": _compressibility_bands,
+        **_experiment("compressibility", 200, 8, _compressibility_bands),
         "exact": {f"{name}/ratio_final": target
                   for name, target in _GP_RATIO_TARGETS.items()},
     },
     "verify": {
         "test": "tests/test_experiments.py::test_verify_all_checks_pass",
-        "spec": "verify", "replicates": 200, "workers": 1,
-        "statistics": _all_checks, "exact": {},
+        **_experiment("verify", 200, 1, _all_checks), "exact": {},
     },
 }
 
@@ -152,9 +169,7 @@ def sweep(check, seeds):
     per_seed = []
     for seed in seeds:
         t0 = perf_counter()
-        rep = run_experiment(spec["spec"], seed, spec["replicates"],
-                             worker_count=spec["workers"])
-        stats = spec["statistics"](rep)
+        stats = spec["run"](seed)
         per_seed.append({
             "seed": seed, "passed": all(ok for _, ok in stats.values()),
             "values": {k: v for k, (v, _) in stats.items()},
@@ -173,15 +188,15 @@ def sweep(check, seeds):
             "exact_target": spec["exact"].get(name)}
     return {
         "check": check, "test": spec["test"],
-        "call": (f"run_experiment({spec['spec']!r}, seed, "
-                 f"{spec['replicates']}, worker_count={spec['workers']})"),
+        "call": spec["call"],
         "seeds": [seeds[0], seeds[-1]], "runs": len(per_seed),
         "passes": passes, "pass_rate": passes / len(per_seed),
         "wilson_95": wilson_interval(passes, len(per_seed)),
         "statistics": summary,
         "commit": _git("rev-parse", "HEAD") or "unknown",
         "worktree": {None: "unknown", "": "clean"}.get(
-            _git("status", "--porcelain", "--", "src", "calibration/sweep.py"),
+            _git("status", "--porcelain", "--", "src", "calibration/sweep.py",
+                 "tests/test_acceptance.py"),
             "dirty"),
         "environment": _environment(),
         "per_seed": per_seed,
