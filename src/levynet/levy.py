@@ -751,8 +751,8 @@ def activation_transform(t, act):
     nu = mix_with_chi2(m)
     if p2 == q2 == 1.0:
         return c, nu
-    # equal slopes give one term of weight 1; a zero slope gives none
-    w, scales = (1.0 if p2 == q2 else 0.5), {p2, q2} - {0.0}
+    w = 1.0 if p2 == q2 else 0.5
+    scales = [s for s in dict.fromkeys((p2, q2)) if s > 0.0]
     tail0, dens0 = nu.tail_fn, nu.density_fn
     return c, MeasureDescriptor(
         kind="analytic", name=f"transform({m.name})",
