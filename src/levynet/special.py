@@ -74,7 +74,7 @@ def lower_incomplete_gamma(s, x):
 
 
 # Gamma(s, x) for s < 0 takes the continued fraction from this x on.  Against
-# 40-digit mpmath, the upward recurrence's relative error reaches 3.6e-13 on
+# 40-digit mpmath, the recurrence's relative error reaches 3.6e-13 on
 # [1, 2) (s = -0.05) and grows with x (1.5e-10 at x = 600), while below 1 it
 # stays under 8.1e-14 for s in [-2.5, -0.05]; the continued fraction stays
 # under 1e-14 on [1, 700] and needs at most 90 terms at x = 1.
@@ -131,7 +131,7 @@ def upper_incomplete_gamma(s, x):
     """Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt.
 
     For s < 0 (with x strictly positive) the value is 0 past x = 746, the
-    continued fraction of Gamma(s, x) on [1, 746], and below 1 the upward
+    continued fraction of Gamma(s, x) on [1, 746], and below 1 the
     recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s walked down
     from a positive parameter; Gamma(0, x) = E_1(x) is handled directly.
     """

@@ -426,11 +426,10 @@ def test_activation_transform_linear_and_leaky():
 def _two_half():
     # a homogeneous activation the package does not define:
     # phi(1) = 2 and phi(-1) = -1/2
-    return ActivationKind(
-        "two_half", lambda x: np.where(np.asarray(x, dtype=float) > 0,
-                                       2.0 * np.asarray(x, dtype=float),
-                                       0.5 * np.asarray(x, dtype=float)),
-        homogeneous=True)
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0, 2.0 * x, 0.5 * x)
+    return ActivationKind("two_half", fn, homogeneous=True)
 
 
 def _gauss_quad(f, lo, hi):
