@@ -13,6 +13,8 @@ no test, bound or seed; it only records how often a correct program passes.
 Checks:
   01      tests/test_acceptance.py::test_criterion_01_truncation_error_slopes
   02      tests/test_acceptance.py::test_criterion_02_output_correlation
+  04      tests/test_acceptance.py::test_criterion_04_single_input_output_laws
+          (through the test module's own single_input_output_statistics)
   07      tests/test_acceptance.py::test_criterion_07_extreme_value_law
           (through the test module's own extreme_value_statistics)
   09      tests/test_acceptance.py::test_criterion_09_compressibility
@@ -38,7 +40,8 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 from scipy import stats as st  # noqa: E402
 
 from levynet.stats import run_experiment  # noqa: E402
-from test_acceptance import extreme_value_statistics  # noqa: E402
+from test_acceptance import (extreme_value_statistics,  # noqa: E402
+                             single_input_output_statistics)
 
 
 def _all_checks(rep):
@@ -106,6 +109,12 @@ CHECKS = {
                       5000, 8, _output_corr_bands),
         # the exact squared-output correlation of the beta model
         "exact": {"beta": 0.2501},
+    },
+    "04": {
+        "test": "tests/test_acceptance.py::test_criterion_04_single_input_output_laws",
+        "call": "single_input_output_statistics(seed)",
+        "run": lambda seed: single_input_output_statistics(seed)[0],
+        "exact": {},
     },
     "07": {
         "test": "tests/test_acceptance.py::test_criterion_07_extreme_value_law",
