@@ -635,11 +635,10 @@ _MIX_EXP_T = np.exp(np.arange(-70.0, math.log(100.0), _MIX_STEP))[None, :]
 _MIX_BLOCK = 64
 
 
-def _chi2_mix_rule(base_tail, hi, x, density):
-    """nubar(x) = int rhobar(x/z) chi2_1(z) dz (or, with density=True, the
-    density nu(x) = (2x)^{-1} int rhobar(x/z) chi2_1(z) (z - 1) dz) by the
-    trapezoid rule in t on z = z0 + e^t, z0 = x/hi, with one call of
-    base_tail per block of points.  The output has the shape of x."""
+def _chi2_mix_rule(base_tail, hi, x):
+    """nubar(x) = int rhobar(x/z) chi2_1(z) dz by the trapezoid rule in t on
+    z = z0 + e^t, z0 = x/hi, with one call of base_tail per block of points.
+    The output has the shape of x."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1, 1)
     out = np.empty(flat.shape[0])
@@ -649,8 +648,6 @@ def _chi2_mix_rule(base_tail, hi, x, density):
         r = xb / z
         v = np.where(r >= hi, 0.0, base_tail(np.minimum(np.maximum(r, 1e-300), hi)))
         w = _chi2_pdf(z) * _MIX_EXP_T
-        if density:
-            w = w * (z - 1.0) / (2.0 * xb)
         out[s:s + _MIX_BLOCK] = _MIX_STEP * (v * w).sum(axis=1)
     return out.reshape(x.shape)
 
@@ -670,16 +667,12 @@ def mix_with_chi2(m):
     in 1/step (the exp-sinh idea of Takahasi and Mori, 1974).  The grid is
     374 nodes, t in [-70, 4.6] with step 0.2, shared by all x, and each
     block of 64 points costs one vectorised call of rho's tail on a
-    (64, 374) array.  The density comes from the same tail values through
-    nu(x) = -d/dx nubar(x) = (2x)^{-1} int rhobar(x/z) chi2_1(z) (z - 1) dz
-    (differentiate nubar(x) = int_0^hi rhobar(r) chi2_1(x/r) x r^{-2} dr
-    under the integral), so it needs no density of rho and avoids the
-    (1 - r)^{b-1} endpoint singularity, which a float r cannot resolve.
-    Measured against the closed form mix(beta(eta, 1/2)) = 2 gamma(eta/2,
-    1/2) on x in [1e-3, 30], tail and density agree to 1.5e-14 relative.
-    Against a step-0.05 rule on t in [-110, ln 500], for x in [1e-10, 100],
-    they agree to 1e-13 relative for gamma, gg_pareto, scaled stable beta
-    and beta measures with b in {0.3, 1/2, 1, 1.5, 2, 2.7, 3, 5, 7.3}."""
+    (64, 374) array.  Measured against the closed form mix(beta(eta, 1/2)) =
+    2 gamma(eta/2, 1/2) on x in [1e-3, 30], the tail agrees to 1.5e-14
+    relative.  Against a step-0.05 rule on t in [-110, ln 500], for x in
+    [1e-10, 100], it agrees to 1e-13 relative for gamma, gg_pareto, scaled
+    stable beta and beta measures with b in {0.3, 1/2, 1, 1.5, 2, 2.7, 3, 5,
+    7.3}."""
     if m.kind == "trivial":
         return trivial_measure()
     tag, *args = m.family or (None,)
@@ -696,17 +689,10 @@ def mix_with_chi2(m):
                 out = out + w * _chi2_sf(x / loc)
             return out
 
-        def dens(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            for loc, w in atoms:
-                out = out + w * _chi2_pdf(x / loc) / loc
-            return out
-
         return MeasureDescriptor(
             kind="analytic", name=f"chi2mix({m.name})",
             params={"base": m.params}, support=(0.0, math.inf),
-            tail_fn=tail, density_fn=dens,
+            tail_fn=tail,
             moment_fn=lambda k: moment(m, k) * _chi2_moment(k),
         )
 
@@ -714,16 +700,18 @@ def mix_with_chi2(m):
     return MeasureDescriptor(
         kind="analytic", name=f"chi2mix({m.name})", params={"base": m.params},
         support=(0.0, math.inf),
-        tail_fn=lambda x: _chi2_mix_rule(base_tail, hi, x, density=False),
-        density_fn=lambda x: _chi2_mix_rule(base_tail, hi, x, density=True),
+        tail_fn=lambda x: _chi2_mix_rule(base_tail, hi, x),
         moment_fn=lambda k: moment(m, k) * _chi2_moment(k),
     )
 
 
 def activation_transform(t, act):
-    """Map a layer's (a, rho) to the (c, eta) driving the next layer's
-    single-input recursion: c = a * E[phi(Z)^2] and
-    etabar(x) = int_{phi(z) != 0} rhobar(x / phi(z)^2) phi_N(z) dz.
+    """Map a layer's (a, rho) to the (c, eta) of the next layer's
+    single-input recursion, Sigma^{(l+1)} = sigma_b^2 + sigma_v^2 S
+    Sigma^{(l)} with S ~ ID(c, eta): c = a * E[phi(Z)^2] and
+    etabar(x) = int_{phi(z) != 0} rhobar(x / phi(z)^2) phi_N(z) dz.  The
+    network's limit samplers draw S by marking rho itself; this transform is
+    their independent reference.
 
     A homogeneous phi(u) = p u_+ + q u_- (p = phi(1), q = phi(-1)) gives
     c = a (p^2 + q^2) / 2 and etabar(x) = (nubar(x / p^2) + nubar(x / q^2)) / 2
@@ -753,14 +741,12 @@ def activation_transform(t, act):
         return c, nu
     w = 1.0 if p2 == q2 else 0.5
     scales = [s for s in dict.fromkeys((p2, q2)) if s > 0.0]
-    tail0, dens0 = nu.tail_fn, nu.density_fn
+    tail0 = nu.tail_fn
     return c, MeasureDescriptor(
         kind="analytic", name=f"transform({m.name})",
         params={"base": m.params, "slopes": [p, q]},
         tail_fn=lambda x: w * sum(tail0(np.asarray(x, dtype=float) / s)
                                   for s in scales),
-        density_fn=lambda x: w * sum(dens0(np.asarray(x, dtype=float) / s) / s
-                                     for s in scales),
         moment_fn=lambda k: w * sum(s**k * moment(nu, k) for s in scales),
     )
 

@@ -207,22 +207,61 @@ def test_limit_output_beta_is_sqrt_gamma_normal():
     assert ks_distance(out[:, 0] ** 2 / chains[:, 1], st.chi2(1).cdf) < 0.011
 
 
-@pytest.mark.parametrize("act", ["relu", "linear"])
+@pytest.mark.parametrize("act", ["relu", "linear", "leaky_relu"])
 @pytest.mark.parametrize("name, params", [
     ("regularized_horseshoe", {"c": 2.0}),
     ("beta", {"eta": 1.0, "b": 1.5}),
+    ("deterministic", {"c1": 1.0}),
+    ("bernoulli", {"c": 2.0}),
+    ("inverse_gamma", {}),
+    ("generalized_bfry", {"eta": 4.0, "alpha": 0.5, "tau": 5.0}),
+    ("spike_slab", {"c": 2.0, "slab": {"kind": "gamma", "shape": 2.0,
+                                       "rate": 3.0}}),
+    ("perman_generic", {"measure": {"name": "gamma",
+                                    "params": {"eta": 1.0, "rate": 1.0}}}),
 ])
 def test_limit_through_generic_chi2_mixture_matches_recursion(name, params, act):
-    # neither model has a closed-form activation transform, so the limit
-    # samples the generic chi-square mixture of mix_with_chi2
+    # every bundled model with M1 < inf: the limit marks each layer's own
+    # measure (a truncated series, or exact compound-Poisson draws for a
+    # finite one), and its mean follows the expected-variance recursion;
+    # the trivial measures of deterministic and inverse_gamma give a
+    # deterministic chain, equal to the recursion up to rounding
     cfg = _cfg(make_model(name, **params), widths=(10,),
                act=activation_from_name(act))
     x = np.array([1.0])
     chains, _ = simulate_limit_single_input(cfg, x, RngStream(62, 0),
-                                            replicates=1000)
+                                            replicates=400)
     expect = variance_recursion(cfg, x)[-1]
     se = chains[:, -1].std() / math.sqrt(chains.shape[0])
-    assert abs(chains[:, -1].mean() - expect) < 4 * se
+    assert abs(chains[:, -1].mean() - expect) < max(4 * se, 1e-12 * expect)
+
+
+def test_limit_of_a_finite_measure_is_exact_compound_poisson():
+    # spike-and-slab c = 2 with a Gamma(2, 3) slab under ReLU: Sigma^{(2)} =
+    # sum_j lam_j relu(zeta_j)^2 over Poisson(2) atoms, exactly 0 when every
+    # mark is negative, which has probability sum_k e^{-2} 2^k / k! 2^{-k}
+    # = e^{-1}; a truncated series of the transformed measure never gives 0
+    slab = {"kind": "gamma", "shape": 2.0, "rate": 3.0}
+    cfg = _cfg(make_model("spike_slab", c=2.0, slab=slab), widths=(10,))
+    x = np.array([1.0])
+    n = 20_000
+    chains, _ = simulate_limit_single_input(cfg, x, RngStream(66, 0),
+                                            replicates=n)
+    zero = chains[:, 1] == 0.0
+    p0 = math.exp(-1.0)
+    assert abs(zero.mean() - p0) < 4 * math.sqrt(p0 * (1 - p0) / n)
+    expect = variance_recursion(cfg, x)[1]
+    se = chains[:, 1].std() / math.sqrt(n)
+    assert abs(chains[:, 1].mean() - expect) < 4 * se
+
+
+@pytest.mark.parametrize("replicates", [0, -1])
+def test_limit_rejects_fewer_than_one_replicate(replicates):
+    cfg = _cfg(make_model("beta", eta=1.0, b=0.5))
+    with pytest.raises(ValueError,
+                       match=f"replicates must be >= 1, got {replicates}"):
+        simulate_limit_single_input(cfg, np.array([1.0]), RngStream(1, 0),
+                                    replicates=replicates)
 
 
 def test_relu_conditional_outer_matches_kappa_closed_form():
@@ -388,14 +427,14 @@ def test_kernel_layer1_marks_have_exact_input_covariance(x, sigma_b):
 def test_kernel_layer1_draws_atoms_times_rank_normals(monkeypatch, n, d_in,
                                                       sigma_b, rank):
     atoms = []
-    sample_ppp = network.levy.sample_ppp
+    sample_ppp_matrix = network.levy.sample_ppp_matrix
 
     def recording(*args, **kwargs):
-        pp = sample_ppp(*args, **kwargs)
-        atoms.append(pp.atoms.size)
-        return pp
+        out = sample_ppp_matrix(*args, **kwargs)
+        atoms.append(int(np.count_nonzero(out[0])))
+        return out
 
-    monkeypatch.setattr(network.levy, "sample_ppp", recording)
+    monkeypatch.setattr(network.levy, "sample_ppp_matrix", recording)
     beta = make_model("beta", eta=2.0, b=0.5)
     cfg = NetworkConfig(d_in, 1, [1], 1.0, sigma_b, RELU, [beta])
     x = np.random.default_rng(n).standard_normal((n, d_in))
@@ -406,8 +445,9 @@ def test_kernel_layer1_draws_atoms_times_rank_normals(monkeypatch, n, d_in,
 
 
 def test_kernel_diag_matches_sigma_chain_law():
-    # n = 1 input: the kernel diagonal recursion and the single-input Sigma
-    # chain sample the same law
+    # n = 1 input: the kernel diagonal, drawn by marking the beta measure,
+    # and the single-input Sigma chain through the ID law of the activation
+    # transform sample the same law
     beta = make_model("beta", eta=1.0, b=0.5)
     cfg = _cfg(beta)
     x = np.array([1.0])
@@ -415,11 +455,12 @@ def test_kernel_diag_matches_sigma_chain_law():
     diag = np.array([sample_random_kernel(cfg, x[None, :],
                                           RngStream(57, i))[1][0, 0]
                      for i in range(n)])
-    chains, _ = simulate_limit_single_input(cfg, x, RngStream(58, 0),
-                                            replicates=n)
-    both = np.sort(np.concatenate([diag, chains[:, 1]]))
+    c, eta = levy.activation_transform(beta.limit, cfg.activation)
+    s = levy.sample_id_batch(LevyTriple(c, eta), RngStream(58, 0), n)
+    chain = cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * s * variance_recursion(cfg, x)[0]
+    both = np.sort(np.concatenate([diag, chain]))
     f1 = np.searchsorted(np.sort(diag), both, side="right") / n
-    f2 = np.searchsorted(np.sort(chains[:, 1]), both, side="right") / n
+    f2 = np.searchsorted(np.sort(chain), both, side="right") / n
     assert float(np.max(np.abs(f1 - f2))) < 1.95 * math.sqrt(2.0 / n)
 
 
