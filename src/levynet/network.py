@@ -337,8 +337,9 @@ def _factor_with_jitter(kmat):
 
 
 # expected atoms per row block of a layer's replicates: the series sampler
-# pads each row to about four times its expected atoms, so a block of
-# beta(1, 1/2) rows peaks near 30 MB, where 10^6 atoms took 110 MB
+# pads each row to about four times its expected atoms, and a block of
+# beta(1, 1/2) rows raised the peak memory by 33 MB at 2^18 atoms, by 110 MB
+# at 10^6
 _MARK_BLOCK_ATOMS = 2 ** 18
 
 

@@ -457,7 +457,8 @@ def test_kernel_diag_matches_sigma_chain_law():
                      for i in range(n)])
     c, eta = levy.activation_transform(beta.limit, cfg.activation)
     s = levy.sample_id_batch(LevyTriple(c, eta), RngStream(58, 0), n)
-    chain = cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * s * variance_recursion(cfg, x)[0]
+    sigma1 = variance_recursion(cfg, x)[0]
+    chain = cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * s * sigma1
     both = np.sort(np.concatenate([diag, chain]))
     f1 = np.searchsorted(np.sort(diag), both, side="right") / n
     f2 = np.searchsorted(np.sort(chain), both, side="right") / n
