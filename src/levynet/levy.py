@@ -706,12 +706,9 @@ def mix_with_chi2(m):
 
 
 def activation_transform(t, act):
-    """Map a layer's (a, rho) to the (c, eta) of the next layer's
-    single-input recursion, Sigma^{(l+1)} = sigma_b^2 + sigma_v^2 S
-    Sigma^{(l)} with S ~ ID(c, eta): c = a * E[phi(Z)^2] and
-    etabar(x) = int_{phi(z) != 0} rhobar(x / phi(z)^2) phi_N(z) dz.  The
-    network's limit samplers draw S by marking rho itself; this transform is
-    their independent reference.
+    """Map a layer's (a, rho) to the (c, eta) driving the next layer's
+    single-input recursion (the reference for the marked limit samplers):
+    c = a * E[phi(Z)^2] and etabar(x) = int_{phi(z) != 0} rhobar(x / phi(z)^2) phi_N(z) dz.
 
     A homogeneous phi(u) = p u_+ + q u_- (p = phi(1), q = phi(-1)) gives
     c = a (p^2 + q^2) / 2 and etabar(x) = (nubar(x / p^2) + nubar(x / q^2)) / 2

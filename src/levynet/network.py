@@ -5,14 +5,10 @@ A network has layer widths d_in, p_1, ..., p_L, d_out.  Hidden layer l carries
 per-node variances lambda^{(l)} drawn from a variance model, and the weight
 from node j of layer l-1 into node k of layer l is sqrt(lambda^{(l-1)}_j)
 V^{(l)}_{jk} with V ~ N(0, sigma_v^2); the input layer uses the fixed
-lambda^{(0)} = 1/d_in.  As widths grow, a single input's pre-activations
-converge to a Gaussian scale mixture driven by a stochastic variance
-recurrence, and the joint law over several inputs converges to a mixture of
-Gaussian processes whose random covariance kernel this module samples
-directly.  Both limit samplers run on one engine, `_random_kernels`: each
-layer adds the atoms of its own Levy measure, marked with Gaussian
-pre-activations (the marking theorem), and the single-input variance chain
-is the one-input case, read off the kernel's diagonal.
+lambda^{(0)} = 1/d_in.  As widths grow, the inputs' joint law converges to a
+mixture of Gaussian processes whose random covariance kernel this module
+samples by marking each layer's Levy measure with Gaussian pre-activations;
+one input's stochastic variance recurrence is its one-input case.
 
 At finite width the same conditional Gaussianity holds exactly: given
 lambda^{(l-1)} and the activations H of m rows that share one realisation,
@@ -249,11 +245,11 @@ def _first_variance(cfg, x):
 def simulate_limit_single_input(cfg, x, rng, replicates=1):
     """Draws from the infinite-width law of a single input's pre-activations.
 
-    The conditional variance chain Sigma^{(1..L+1)} is the diagonal of the
-    random kernel of `sample_random_kernel` at the one input, drawn layer by
-    layer for all replicates at once.  Outputs are sqrt(Sigma^{(L+1)}) times
-    iid standard normals, the same Sigma shared across all d_out coordinates
-    of one replicate.
+    The conditional variance chain Sigma^{(1..L+1)} is the random kernel of
+    `sample_random_kernel` at the one input, drawn layer by layer for all
+    replicates at once.  Outputs are sqrt(Sigma^{(L+1)}) times iid standard
+    normals, the same Sigma shared across all d_out coordinates of one
+    replicate.
 
     Returns (sigma_chains, outputs) with shapes (replicates, L+1) and
     (replicates, d_out); both squeeze to 1-d when replicates == 1.
@@ -261,9 +257,8 @@ def simulate_limit_single_input(cfg, x, rng, replicates=1):
     n = int(replicates)
     if n < 1:
         raise ValueError(f"replicates must be >= 1, got {n}")
-    _first_variance(cfg, x)  # checks the activation and the input
-    ks = _random_kernels(cfg, np.asarray(x, dtype=float)[None, :], rng, n)
-    chains = np.stack([k[:, 0, 0] for k in ks], axis=1)
+    sigma = np.full(n, _first_variance(cfg, x))
+    chains = np.stack(_random_kernels(cfg, sigma, rng), axis=1)
     outputs = (np.sqrt(chains[:, -1])[:, None]
                * rng.generator.standard_normal((n, cfg.d_out)))
     if n == 1:
@@ -290,24 +285,22 @@ def variance_recursion(cfg, x):
 
 
 _MC_BUDGET = 100_000
+_MARK_BLOCK_ATOMS = 2 ** 16
 
 
 def _cond_phi_outer(kmat, act, gen, factor=None):
-    """E[phi(z_i) phi(z_j)] over z ~ N(0, kmat), for one kernel matrix or a
-    stack of them: closed form for positive homogeneous phi, Monte Carlo with
-    a 1e5-draw budget per matrix otherwise (tanh), drawing z = G F^T from the
-    factor F F^T = kmat that this branch needs.
+    """E[phi(z_i) phi(z_j)] over z ~ N(0, kmat): closed form for positive
+    homogeneous phi, Monte Carlo with a 1e5-draw budget otherwise (tanh),
+    drawing z = G F^T from the factor F F^T = kmat that this branch needs.
 
     A homogeneous phi(u) = p u_+ + q u_- (p = phi(1), q = phi(-1)) has, by the
     arc-cosine kernel (Cho & Saul 2009), E[phi(u) phi(v)] = sigma sigma' /
     (2 pi) [(p^2 + q^2) kappa_1(rho) + 2 p q kappa_1(-rho)]."""
     if not act.homogeneous:
-        g = gen.standard_normal(factor.shape[:-2]
-                                + (_MC_BUDGET, factor.shape[-1]))
-        fz = act(g @ np.swapaxes(factor, -1, -2))
-        return np.swapaxes(fz, -1, -2) @ fz / _MC_BUDGET
-    d = np.sqrt(np.clip(np.diagonal(kmat, axis1=-2, axis2=-1), 0.0, None))
-    denom = d[..., :, None] * d[..., None, :]
+        fz = act(gen.standard_normal((_MC_BUDGET, factor.shape[1])) @ factor.T)
+        return fz.T @ fz / _MC_BUDGET
+    d = np.sqrt(np.clip(np.diag(kmat), 0.0, None))
+    denom = np.outer(d, d)
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = np.where(denom > 0, kmat / np.where(denom > 0, denom, 1.0), 0.0)
     rho = np.clip(rho, -1.0, 1.0)
@@ -319,16 +312,13 @@ def _cond_phi_outer(kmat, act, gen, factor=None):
 
 
 def _factor_with_jitter(kmat):
-    """Lower-triangular factors of a stack of PSD kernel matrices, escalating
-    a diagonal jitter, relative to each matrix's mean diagonal, from 1e-12 to
-    1e-8 before giving up."""
-    n = kmat.shape[-1]
-    scale = np.maximum(np.trace(kmat, axis1=-2, axis2=-1) / max(n, 1), 1e-300)
+    """Lower-triangular factor of a PSD kernel matrix, escalating a relative
+    diagonal jitter from 1e-12 to 1e-8 before giving up."""
+    scale = max(float(np.trace(kmat)) / max(kmat.shape[0], 1), 1e-300)
     jitter = 1e-12
     while jitter <= 1e-8:
         try:
-            return np.linalg.cholesky(
-                kmat + (jitter * scale)[..., None, None] * np.eye(n))
+            return np.linalg.cholesky(kmat + jitter * scale * np.eye(kmat.shape[0]))
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise np.linalg.LinAlgError(
@@ -336,79 +326,58 @@ def _factor_with_jitter(kmat):
         "jitter tolerance; the intermediate kernel is numerically invalid")
 
 
-# expected atoms per row block of a layer's replicates: the series sampler
-# pads each row to about four times its expected atoms, and a block of
-# beta(1, 1/2) rows raised the peak memory by 33 MB at 2^18 atoms, by 110 MB
-# at 10^6
-_MARK_BLOCK_ATOMS = 2 ** 18
+def _one_input_sums(m, floor, act, rng, n):
+    """n draws of S = sum_j lam_j phi(g_j)^2 + E[phi(Z)^2] int_0^floor x rho(dx),
+    g_j iid N(0, 1), in row blocks of about _MARK_BLOCK_ATOMS expected atoms,
+    or exactly Stable(alpha, c E[|phi(Z)|^{2 alpha}]^{1/alpha}) for stable(alpha, c)."""
+    if m.family and m.family[0] == "stable":
+        _, alpha, c = m.family
+        w = kernels.homogeneous_moment(act, alpha, 1.0) ** (1.0 / alpha)
+        return np.atleast_1d(sample_positive_stable(alpha, c * w, rng, n))
+    mass = m.total_mass() if floor is None else levy.tail_intensity(m, floor)
+    rows = max(int(_MARK_BLOCK_ATOMS / max(mass, 1.0)), 1)
+    out = np.empty(n)
+    for s in range(0, n, rows):
+        atoms, _, below = levy.sample_ppp_matrix(m, rng, floor, min(rows, n - s))
+        hit = atoms > 0.0
+        phi2 = act(rng.generator.standard_normal(np.count_nonzero(hit))) ** 2
+        row = np.repeat(np.arange(len(atoms)), hit.sum(axis=1))
+        out[s:s + rows] = below * act.c_phi + np.bincount(
+            row, atoms[hit] * phi2, minlength=len(atoms))
+    return out
 
 
-def _marked_layer(cfg, triple, kmat, factor, rng):
-    """K^{(l+1)} of a (replicates, n, n) stack of K^{(l)} with factors F (or
-    None), in row blocks of about _MARK_BLOCK_ATOMS expected atoms: per row
-    the atoms of the layer's measure above the floor, the drift, and the
-    marks of the nonzero atoms, one (atoms, rank) normal block in row order."""
-    gen, act, m = rng.generator, cfg.activation, triple.measure
-    sv2 = cfg.sigma_v ** 2
-    floor = None
-    if m.kind == "analytic":
-        # keep atoms whose worst-case kernel contribution exceeds 1e-8 of the
-        # running trace (the smallest ratio over the replicates); phi(z)^2 is
-        # bounded by c_lip^2 z^2 if phi is homogeneous, else by 1
-        c_env = max(act.c_lip ** 2, 1e-12) if act.homogeneous else 1.0
-        diag = np.diagonal(kmat, axis1=1, axis2=2)
-        trace = np.maximum(diag.sum(axis=1), 1e-300)
-        max_diag = np.maximum(diag.max(axis=1), 1e-300)
-        rule = float(np.min(1e-8 * trace / (sv2 * max_diag * c_env)))
-        floor = min(levy.default_atom_floor(m), rule)
-    rows = kmat.shape[0]
-    if rows > 1:  # one replicate is one block, with no further tail call
-        mass = m.total_mass() if floor is None else levy.tail_intensity(m, floor)
-        rows = max(int(_MARK_BLOCK_ATOMS / max(mass, 1.0)), 1)
-    blocks = []
-    for s in range(0, kmat.shape[0], rows):
-        k, f = kmat[s:s + rows], None if factor is None else factor[s:s + rows]
-        atoms, _, below = levy.sample_ppp_matrix(m, rng, floor, n=k.shape[0])
-        # each row is sorted decreasing, so its nonzero atoms lead it
-        counts = np.count_nonzero(atoms, axis=1)
-        total = int(counts.sum())
-        if f is None and (total or not act.homogeneous):
-            f = _factor_with_jitter(k)
-        cond = _cond_phi_outer(k, act, gen, f)
-        nxt = cfg.sigma_b ** 2 + sv2 * (triple.location_a + below) * cond
-        if total:
-            lam = atoms[:, :counts.max()]
-            g = np.zeros(lam.shape + (f.shape[-1],))
-            g[lam > 0] = gen.standard_normal((total, f.shape[-1]))
-            fz = act(g @ np.swapaxes(f, -1, -2))
-            nxt = nxt + sv2 * (np.swapaxes(fz, -1, -2) * lam[:, None, :]) @ fz
-        blocks.append(0.5 * (nxt + np.swapaxes(nxt, -1, -2)))
-    return np.concatenate(blocks)
-
-
-def _random_kernels(cfg, x, rng, replicates):
-    """K^{(1..L+1)} of `replicates` independent draws on the rows of x, each
-    layer a (replicates, n, n) stack; see sample_random_kernel."""
-    n, act, sv2 = x.shape[0], cfg.activation, cfg.sigma_v ** 2
-    kmat = np.full((replicates, n, n),
-                   cfg.sigma_b ** 2 + sv2 * (x @ x.T) / cfg.d_in)
-    factor = _bias_augmented(cfg.sigma_v * x / math.sqrt(cfg.d_in), cfg.sigma_b)
-    if factor.shape[1] > n:
-        factor = np.linalg.qr(factor.T, mode="r").T
-    factor = np.broadcast_to(factor, (replicates,) + factor.shape)
+def _random_kernels(cfg, kmat, rng, factor=None):
+    """K^{(1..L+1)} from K^{(1)} = kmat, layer by layer: one draw from an (n, n)
+    kmat with exact factor F F^T = kmat, or a chain per entry of one input's
+    Sigma^{(1)} vector kmat."""
+    gen, act, sv2 = rng.generator, cfg.activation, cfg.sigma_v ** 2
+    # bound of phi(z)^2 per unit Gaussian scale: c_lip^2 if homogeneous, else 1
+    c_env = max(act.c_lip ** 2, 1e-12) if act.homogeneous else 1.0
     out = [kmat]
     for model in cfg.variance_models:
-        tag, *args = model.limit.measure.family or (None,)
-        if n == 1 and act.homogeneous and tag == "stable":
-            alpha, c = args
-            w = kernels.homogeneous_moment(act, alpha, 1.0)
-            draws = sample_positive_stable(alpha, c * w ** (1.0 / alpha), rng,
-                                           replicates)
-            s = model.limit.location_a * act.c_phi + np.atleast_1d(draws)
-            kmat = cfg.sigma_b ** 2 + sv2 * s[:, None, None] * kmat
+        a, m = model.limit.location_a, model.limit.measure
+        floor = None
+        if m.kind == "analytic":
+            # keep atoms adding over 1e-8 of the running trace (one input: Sigma)
+            d = np.diag(np.atleast_2d(kmat))
+            floor = min(levy.default_atom_floor(m), 1e-8 * max(d.sum(), 1e-300)
+                        / (sv2 * max(d.max(), 1e-300) * c_env))
+        if kmat.ndim == 1:  # homogeneous phi: phi(zeta)^2 = Sigma phi(g)^2
+            s = _one_input_sums(m, floor, act, rng, kmat.size)
+            kmat = cfg.sigma_b ** 2 + sv2 * (a * act.c_phi + s) * kmat
         else:
-            kmat = _marked_layer(cfg, model.limit, kmat, factor, rng)
-        factor = None
+            pp = levy.sample_ppp(m, rng, atom_floor=floor)
+            atoms = pp.atoms
+            if factor is None and (atoms.size or not act.homogeneous):
+                factor = _factor_with_jitter(kmat)
+            cond = _cond_phi_outer(kmat, act, gen, factor)
+            nxt = cfg.sigma_b ** 2 + sv2 * (a + pp.truncated_mean_mass) * cond
+            if atoms.size:
+                fz = act(gen.standard_normal((atoms.size, factor.shape[1])) @ factor.T)
+                nxt = nxt + sv2 * (fz.T * atoms) @ fz
+            kmat = 0.5 * (nxt + nxt.T)
+            factor = None
         out.append(kmat)
     return out
 
@@ -422,9 +391,7 @@ def sample_random_kernel(cfg, inputs, rng):
     sigma_v^2 sum_j lam_j phi(zeta_j(x)) phi(zeta_j(x')) with atoms from the
     layer's limiting measure and zeta_j ~ N(0, K^{(l)}).  The mean
     int_0^floor x rho(dx) of the atoms dropped below the floor is folded
-    into the drift term; finite measures are drawn exactly.  With one input
-    a stable(alpha, c) layer's atom sum is drawn exactly: it is K^{(l)}
-    times a Stable(alpha, c w^{1/alpha}) variable, w = E|phi(Z)|^{2 alpha}.
+    into the drift term.
 
     The marks are zeta = G F^T with G iid N(0, 1) of shape (atoms, rank) and
     F F^T = K^{(l)}.  At layer 1, F is the exact input factor
@@ -436,11 +403,16 @@ def sample_random_kernel(cfg, inputs, rng):
     `_factor_with_jitter`.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if x.shape[0] > 64:
+    n = x.shape[0]
+    if n > 64:
         raise ValueError("sample_random_kernel supports at most 64 inputs")
     if x.shape[1] != cfg.d_in:
         raise ValueError(f"inputs have {x.shape[1]} features, expected {cfg.d_in}")
-    return [k[0] for k in _random_kernels(cfg, x, rng, 1)]
+    kmat = cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * (x @ x.T) / cfg.d_in
+    factor = _bias_augmented(cfg.sigma_v * x / math.sqrt(cfg.d_in), cfg.sigma_b)
+    if factor.shape[1] > n:
+        factor = np.linalg.qr(factor.T, mode="r").T
+    return _random_kernels(cfg, kmat, rng, factor)
 
 
 def stable_case_scale(cfg, x, alpha, rng=None):

@@ -230,7 +230,7 @@ def test_limit_through_generic_chi2_mixture_matches_recursion(name, params, act)
                act=activation_from_name(act))
     x = np.array([1.0])
     chains, _ = simulate_limit_single_input(cfg, x, RngStream(62, 0),
-                                            replicates=400)
+                                            replicates=1000)
     expect = variance_recursion(cfg, x)[-1]
     se = chains[:, -1].std() / math.sqrt(chains.shape[0])
     assert abs(chains[:, -1].mean() - expect) < max(4 * se, 1e-12 * expect)
@@ -427,14 +427,14 @@ def test_kernel_layer1_marks_have_exact_input_covariance(x, sigma_b):
 def test_kernel_layer1_draws_atoms_times_rank_normals(monkeypatch, n, d_in,
                                                       sigma_b, rank):
     atoms = []
-    sample_ppp_matrix = network.levy.sample_ppp_matrix
+    sample_ppp = network.levy.sample_ppp
 
     def recording(*args, **kwargs):
-        out = sample_ppp_matrix(*args, **kwargs)
-        atoms.append(int(np.count_nonzero(out[0])))
-        return out
+        pp = sample_ppp(*args, **kwargs)
+        atoms.append(pp.atoms.size)
+        return pp
 
-    monkeypatch.setattr(network.levy, "sample_ppp_matrix", recording)
+    monkeypatch.setattr(network.levy, "sample_ppp", recording)
     beta = make_model("beta", eta=2.0, b=0.5)
     cfg = NetworkConfig(d_in, 1, [1], 1.0, sigma_b, RELU, [beta])
     x = np.random.default_rng(n).standard_normal((n, d_in))
