@@ -328,7 +328,7 @@ def _factor_with_jitter(kmat):
 
 def _one_input_sums(m, floor, act, rng, n):
     """n draws of S = sum_j lam_j phi(g_j)^2 + E[phi(Z)^2] int_0^floor x rho(dx),
-    g_j iid N(0, 1), in row blocks of about _MARK_BLOCK_ATOMS expected atoms,
+    g_j iid N(0, 1), by row blocks of ~_MARK_BLOCK_ATOMS atoms to bound memory,
     or exactly Stable(alpha, c E[|phi(Z)|^{2 alpha}]^{1/alpha}) for stable(alpha, c)."""
     if m.family and m.family[0] == "stable":
         _, alpha, c = m.family
