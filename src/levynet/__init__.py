@@ -11,14 +11,14 @@ experiment harness (stats, experiments), and a command-line tool (cli).
 from .activations import (ActivationKind, LINEAR, RELU, TANH,
                           activation_from_name, leaky_relu)
 from .kernels import gp_relu_kernel, j_alpha_quadrature, kappa, relu_moment
-from .levy import (LevyTriple, MeasureDescriptor, PointProcessSample,
-                   activation_transform, atomic_measure, beta_measure,
-                   gamma_measure, gg_pareto_measure, horseshoe_measure,
+from .levy import (LevyTriple, MeasureDescriptor, activation_transform,
+                   atomic_measure, beta_measure, gamma_measure,
+                   gg_pareto_measure, horseshoe_measure,
                    inverse_tail_intensity, mean_mass_below, mix_with_chi2,
-                   moment, sample_id_batch, sample_ppp,
-                   stable_measure, tail_intensity, trivial_measure)
+                   moment, sample_id_batch, sample_ppp_matrix, stable_measure,
+                   tail_intensity, trivial_measure)
 from .models import (MODEL_NAMES, VarianceModel, check_id_conditions,
-                     make_model, model_from_spec, sample_variances)
+                     make_model, model_from_spec)
 from .network import (NetworkConfig, NetworkRealization, forward,
                       forward_law, sample_lambdas, sample_network,
                       sample_random_kernel,
@@ -29,7 +29,6 @@ from .pruning import (PruningRule, compressibility_ratio, epsilon_error_bound,
 from .reporting import Check, Estimate, ExperimentReport
 from .rng import RngStream, sample_positive_stable
 from .stats import (ks_distance, order_stat_cdf, run_experiment,
-                    small_weight_decay_check, squared_output_correlation,
                     tail_exponent, experiment_names)
 
 __version__ = "0.1.0"
@@ -38,13 +37,13 @@ __all__ = [
     "ActivationKind", "LINEAR", "RELU", "TANH", "activation_from_name",
     "leaky_relu",
     "gp_relu_kernel", "j_alpha_quadrature", "kappa", "relu_moment",
-    "LevyTriple", "MeasureDescriptor", "PointProcessSample",
+    "LevyTriple", "MeasureDescriptor",
     "activation_transform", "atomic_measure", "beta_measure", "gamma_measure",
     "gg_pareto_measure", "horseshoe_measure", "inverse_tail_intensity",
     "mean_mass_below", "mix_with_chi2", "moment", "sample_id_batch",
-    "sample_ppp", "stable_measure", "tail_intensity", "trivial_measure",
+    "sample_ppp_matrix", "stable_measure", "tail_intensity", "trivial_measure",
     "MODEL_NAMES", "VarianceModel", "check_id_conditions", "make_model",
-    "model_from_spec", "sample_variances",
+    "model_from_spec",
     "NetworkConfig", "NetworkRealization", "forward", "forward_law",
     "sample_lambdas", "sample_network",
     "sample_random_kernel", "simulate_limit_single_input",
@@ -54,7 +53,6 @@ __all__ = [
     "Check", "Estimate", "ExperimentReport",
     "RngStream", "sample_positive_stable",
     "ks_distance", "order_stat_cdf", "run_experiment",
-    "small_weight_decay_check", "squared_output_correlation",
     "tail_exponent", "experiment_names",
     "__version__",
 ]

@@ -26,7 +26,6 @@ from .special import upper_incomplete_gamma
 __all__ = [
     "MeasureDescriptor",
     "LevyTriple",
-    "PointProcessSample",
     "trivial_measure",
     "atomic_measure",
     "stable_measure",
@@ -42,7 +41,6 @@ __all__ = [
     "mean_mass_below",
     "mix_with_chi2",
     "activation_transform",
-    "sample_ppp",
     "sample_ppp_matrix",
     "sample_id_batch",
     "default_atom_floor",
@@ -132,20 +130,6 @@ class LevyTriple:
 
     def to_dict(self):
         return {"location_a": self.location_a, "measure": self.measure.to_dict()}
-
-
-@dataclass
-class PointProcessSample:
-    """Decreasing atoms of a Poisson process, with truncation metadata.
-
-    truncated_mean_mass is int_0^threshold x rho(dx), the mean of the atoms
-    dropped below the threshold; it is finite for every Levy measure, since
-    int min(1, x) rho(dx) < inf.
-    """
-
-    atoms: np.ndarray
-    truncation_threshold: float
-    truncated_mean_mass: float
 
 
 # ---------------------------------------------------------------------------
@@ -784,46 +768,33 @@ def _finite_counts_and_draws(m, rng, n):
     return counts, draws
 
 
-# exponentials per block of the series sampler
-_SERIES_CHUNK = 2e7
+# expected atoms per row block of `sample_id_batch`, to bound its memory
+_BLOCK_ATOMS = 2 ** 16
 
 
-def _atom_series(m, rng, n, atom_floor, sums):
+def _atom_series(m, rng, n, atom_floor, mass):
     """n draws of the inverse-Levy-measure series of the analytic measure m
-    truncated at atom_floor (Ferguson and Klass 1972; Rosinski 2001): atoms
-    rhobar^{-1}(G_1) > rhobar^{-1}(G_2) > ... for the arrival times
-    G_k <= rhobar(atom_floor) of a unit-rate Poisson process.  Each chunk of
-    at most 2e7 exponentials is a (rows, J) block, J a ten-sigma bound on the
-    atom count, cumulated along rows and mapped through the inverse tail; a
-    row whose block ends at or below rhobar(atom_floor) is then extended one
-    exponential at a time, in row order.  Returns the n row sums (sums=True)
-    or the rows as an (n, width) array padded with zeros, width = J or the
-    longest extended row."""
-    if atom_floor <= 0:
-        raise ValueError("atom_floor must be > 0 for infinite-activity measures")
-    mass = float(tail_intensity(m, atom_floor))
+    truncated at atom_floor, with mass = rhobar(atom_floor) (Ferguson and
+    Klass 1972; Rosinski 2001): atoms rhobar^{-1}(G_1) > rhobar^{-1}(G_2) > ...
+    for the arrival times G_k <= mass of a unit-rate Poisson process.  One
+    (n, J) block of exponentials, J a ten-sigma bound on the atom count, is
+    cumulated along rows and mapped through the inverse tail; a row whose
+    block ends at or below mass is then extended one exponential at a time,
+    in row order.  Returns the rows as an (n, width) array padded with zeros,
+    width = J or the longest extended row."""
     inv = _get_fast_inverse(m, mass * (1 + 1e-9) + 1e-12)
     gen = rng.generator
     ncols = int(mass + 10.0 * math.sqrt(mass + 1.0) + 20.0)
-    rows_per_chunk = max(int(_SERIES_CHUNK / ncols), 1)
-    pieces, extended = [], []
-    for start in range(0, max(n, 1), rows_per_chunk):
-        g = gen.standard_exponential((min(rows_per_chunk, n - start), ncols)).cumsum(axis=1)
-        active = g <= mass
-        vals = np.zeros_like(g)
-        vals[active] = inv(g[active])
-        for i in np.flatnonzero(active[:, -1]):
-            last, extra = g[i, -1], []
-            while (last := last + gen.standard_exponential()) <= mass:
-                extra.append(float(inv(last)))
-            extended.append((start + i, extra))
-        pieces.append(vals.sum(axis=1) if sums else vals)
-    out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    if sums:
-        for i, extra in extended:
-            for x in extra:
-                out[i] += x
-        return out
+    g = gen.standard_exponential((n, ncols)).cumsum(axis=1)
+    active = g <= mass
+    out = np.zeros_like(g)
+    out[active] = inv(g[active])
+    extended = []
+    for i in np.flatnonzero(active[:, -1]):
+        last, extra = g[i, -1], []
+        while (last := last + gen.standard_exponential()) <= mass:
+            extra.append(float(inv(last)))
+        extended.append((i, extra))
     width = max((len(extra) for _, extra in extended), default=0)
     if width:
         out = np.pad(out, ((0, 0), (0, width)))
@@ -834,8 +805,11 @@ def _atom_series(m, rng, n, atom_floor, sums):
 
 def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
     """n independent point-process draws as a (n, J) array of atoms sorted
-    decreasing along each row and padded with zeros.  Returns
-    (atoms, truncation_threshold, truncated_mean_mass)."""
+    decreasing along each row and padded with zeros, truncated at atom_floor
+    (the default floor if None; exact for finite measures).  Returns
+    (atoms, truncation_threshold, truncated_mean_mass), the last being
+    int_0^threshold x rho(dx), the mean of the atoms dropped below the
+    threshold; it is finite for every Levy measure."""
     if m.kind == "trivial":
         return np.zeros((n, 0)), 0.0, 0.0
     if m.kind == "atomic" or m.finite_sampler is not None:
@@ -850,34 +824,56 @@ def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
         return out, 0.0, 0.0
     if atom_floor is None:
         atom_floor = default_atom_floor(m)
-    atoms = _atom_series(m, rng, n, atom_floor, sums=False)
+    if atom_floor <= 0:
+        raise ValueError("atom_floor must be > 0 for infinite-activity measures")
+    atoms = _atom_series(m, rng, n, atom_floor, float(tail_intensity(m, atom_floor)))
     return atoms, float(atom_floor), mean_mass_below(m, atom_floor)
 
 
-def sample_ppp(m, rng, atom_floor=None):
-    """One draw of the Poisson process with mean measure rho, as a decreasing
-    atom sequence truncated at atom_floor (exact for finite measures)."""
-    atoms, thr, mean_below = sample_ppp_matrix(m, rng, atom_floor, n=1)
-    row = atoms[0]
-    return PointProcessSample(atoms=row[row > 0], truncation_threshold=thr,
-                              truncated_mean_mass=mean_below)
+def sample_id_batch(t, rng, n, atom_floor=None, act=None):
+    """n draws of a E[mark] + sum_j lam_j mark_j + E[mark] int_0^floor x rho(dx)
+    over the atoms lam_j > floor of the Poisson process with mean measure rho,
+    for t = (a, rho).  With act None every mark is 1 and the law is ID(a, rho);
+    with a positive homogeneous act the marks are phi(g_j)^2, g_j iid N(0, 1),
+    and the law is the ID law of activation_transform(t, act), the one-input
+    step of the infinite-width kernel.  The last term is the mean of the marked
+    atoms dropped below the floor (the default floor if None).
 
-
-def sample_id_batch(t, rng, n, atom_floor=None):
-    """n draws of ID(a, rho): location + atom sums + the mean
-    int_0^atom_floor x rho(dx) of the atoms dropped below the floor.  A stable
-    measure at the default floor takes the exact positive-stable sampler."""
-    m = t.measure
-    if m.kind == "trivial":
-        return np.full(n, t.location_a, dtype=float)
-    if m.kind == "atomic" or m.finite_sampler is not None:
-        atoms, _, _ = sample_ppp_matrix(m, rng, atom_floor, n=n)
-        return t.location_a + atoms.sum(axis=1)
+    A stable(alpha, c) measure takes the exact positive-stable sampler at scale
+    c E[|phi(Z)|^{2 alpha}]^{1/alpha}, whatever the floor.  Otherwise rows are
+    drawn in blocks of about 2^16 expected atoms, each block's marks after its
+    atoms."""
+    if act is not None and not act.homogeneous:
+        raise ValueError("marked ID sums require a positive homogeneous activation")
+    m, w = t.measure, 1.0 if act is None else act.c_phi
     tag, *args = m.family or (None,)
-    if tag == "stable" and atom_floor is None:
-        draws = sample_positive_stable(*args, rng, n)
-        return t.location_a + np.atleast_1d(np.asarray(draws, dtype=float))
-    if atom_floor is None:
-        atom_floor = default_atom_floor(m)
-    sums = _atom_series(m, rng, n, atom_floor, sums=True)
-    return t.location_a + sums + mean_mass_below(m, atom_floor)
+    if tag == "stable":
+        alpha, c = args
+        if act is not None:
+            c = c * homogeneous_moment(act, alpha, 1.0) ** (1.0 / alpha)
+        return t.location_a * w + np.atleast_1d(sample_positive_stable(alpha, c, rng, n))
+    if m.kind == "analytic":
+        atom_floor = default_atom_floor(m) if atom_floor is None else atom_floor
+        mass = tail_intensity(m, atom_floor)
+    else:
+        mass = m.total_mass()
+    rows = max(int(_BLOCK_ATOMS / max(mass, 1.0)), 1)
+    # rhobar(floor) and the compensation once per call: sample_ppp_matrix
+    # would redo both per block, and without a closed form the compensation
+    # is a quadrature
+    series = m.kind == "analytic" and m.finite_sampler is None
+    below = mean_mass_below(m, atom_floor) if series else 0.0
+    out = np.empty(n)
+    for s in range(0, n, rows):
+        k = min(rows, n - s)
+        atoms = (_atom_series(m, rng, k, atom_floor, mass) if series
+                 else sample_ppp_matrix(m, rng, atom_floor, k)[0])
+        if act is None:
+            sums = atoms.sum(axis=1)
+        else:
+            hit = atoms > 0.0
+            phi2 = act(rng.generator.standard_normal(np.count_nonzero(hit))) ** 2
+            row = np.repeat(np.arange(len(atoms)), hit.sum(axis=1))
+            sums = np.bincount(row, atoms[hit] * phi2, minlength=len(atoms))
+        out[s:s + rows] = below * w + sums
+    return t.location_a * w + out

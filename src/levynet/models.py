@@ -21,7 +21,6 @@ __all__ = [
     "make_model",
     "model_from_spec",
     "measure_from_spec",
-    "sample_variances",
     "check_id_conditions",
     "gen_bfry_density",
     "MODEL_NAMES",
@@ -61,11 +60,6 @@ class VarianceModel:
 
     def __repr__(self):
         return f"VarianceModel({self.name}, params={self.params})"
-
-
-def sample_variances(model, p, rng, p_next=None):
-    """One width-p vector of iid draws from the model's mu_p."""
-    return model.sample(p, rng, p_next=p_next, n=1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,6 @@ def variance_recursion(cfg, x):
 
 
 _MC_BUDGET = 100_000
-_MARK_BLOCK_ATOMS = 2 ** 16
 
 
 def _cond_phi_outer(kmat, act, gen, factor=None):
@@ -326,27 +325,6 @@ def _factor_with_jitter(kmat):
         "jitter tolerance; the intermediate kernel is numerically invalid")
 
 
-def _one_input_sums(m, floor, act, rng, n):
-    """n draws of S = sum_j lam_j phi(g_j)^2 + E[phi(Z)^2] int_0^floor x rho(dx),
-    g_j iid N(0, 1), by row blocks of ~_MARK_BLOCK_ATOMS atoms to bound memory,
-    or exactly Stable(alpha, c E[|phi(Z)|^{2 alpha}]^{1/alpha}) for stable(alpha, c)."""
-    if m.family and m.family[0] == "stable":
-        _, alpha, c = m.family
-        w = kernels.homogeneous_moment(act, alpha, 1.0) ** (1.0 / alpha)
-        return np.atleast_1d(sample_positive_stable(alpha, c * w, rng, n))
-    mass = m.total_mass() if floor is None else levy.tail_intensity(m, floor)
-    rows = max(int(_MARK_BLOCK_ATOMS / max(mass, 1.0)), 1)
-    out = np.empty(n)
-    for s in range(0, n, rows):
-        atoms, _, below = levy.sample_ppp_matrix(m, rng, floor, min(rows, n - s))
-        hit = atoms > 0.0
-        phi2 = act(rng.generator.standard_normal(np.count_nonzero(hit))) ** 2
-        row = np.repeat(np.arange(len(atoms)), hit.sum(axis=1))
-        out[s:s + rows] = below * act.c_phi + np.bincount(
-            row, atoms[hit] * phi2, minlength=len(atoms))
-    return out
-
-
 def _random_kernels(cfg, kmat, rng, factor=None):
     """K^{(1..L+1)} from K^{(1)} = kmat, layer by layer: one draw from an (n, n)
     kmat with exact factor F F^T = kmat, or a chain per entry of one input's
@@ -359,20 +337,23 @@ def _random_kernels(cfg, kmat, rng, factor=None):
         a, m = model.limit.location_a, model.limit.measure
         floor = None
         if m.kind == "analytic":
-            # keep atoms adding over 1e-8 of the running trace (one input: Sigma)
+            # keep atoms adding over 1e-8 of the running trace; one input's
+            # Sigma vector reads as a 1 x n matrix whose diagonal is its first
+            # entry, so the ratio is 1 and every replicate gets the floor
+            # min(default, 1e-8 / (sigma_v^2 c_env))
             d = np.diag(np.atleast_2d(kmat))
             floor = min(levy.default_atom_floor(m), 1e-8 * max(d.sum(), 1e-300)
                         / (sv2 * max(d.max(), 1e-300) * c_env))
         if kmat.ndim == 1:  # homogeneous phi: phi(zeta)^2 = Sigma phi(g)^2
-            s = _one_input_sums(m, floor, act, rng, kmat.size)
-            kmat = cfg.sigma_b ** 2 + sv2 * (a * act.c_phi + s) * kmat
+            s = levy.sample_id_batch(model.limit, rng, kmat.size, floor, act)
+            kmat = cfg.sigma_b ** 2 + sv2 * s * kmat
         else:
-            pp = levy.sample_ppp(m, rng, atom_floor=floor)
-            atoms = pp.atoms
+            atoms, _, below = levy.sample_ppp_matrix(m, rng, floor)
+            atoms = atoms[atoms > 0]
             if factor is None and (atoms.size or not act.homogeneous):
                 factor = _factor_with_jitter(kmat)
             cond = _cond_phi_outer(kmat, act, gen, factor)
-            nxt = cfg.sigma_b ** 2 + sv2 * (a + pp.truncated_mean_mass) * cond
+            nxt = cfg.sigma_b ** 2 + sv2 * (a + below) * cond
             if atoms.size:
                 fz = act(gen.standard_normal((atoms.size, factor.shape[1])) @ factor.T)
                 nxt = nxt + sv2 * (fz.T * atoms) @ fz

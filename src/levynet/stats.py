@@ -8,7 +8,6 @@ to keep them bitwise stable under re-chunking.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
@@ -19,9 +18,6 @@ __all__ = [
     "ks_distance",
     "tail_exponent",
     "order_stat_cdf",
-    "DecaySlopeReport",
-    "small_weight_decay_check",
-    "squared_output_correlation",
     "map_replicates",
     "register_experiment",
     "experiment_names",
@@ -79,71 +75,6 @@ def order_stat_cdf(m, k, x):
         partial += term
     out[finite] = np.exp(-rf) * partial
     return out if out.shape else float(out)
-
-
-@dataclass(frozen=True)
-class DecaySlopeReport:
-    """Log-log decay fit of ordered atoms against their rank."""
-    slope: float
-    std_error: float
-    expected_slope: float
-    power_fit_r2: float
-    exponential_fit_r2: float
-
-    @property
-    def power_law_preferred(self):
-        return self.power_fit_r2 >= self.exponential_fit_r2
-
-
-def small_weight_decay_check(atoms, alpha_at_zero):
-    """Regress log(lambda_(k)) on log(k) over the mid-range of ranks and
-    compare the slope to -1/alpha (the small-atom decay of a measure whose
-    tail behaves like x^{-alpha} at zero)."""
-    atoms = np.asarray(getattr(atoms, "atoms", atoms), dtype=float)
-    atoms = atoms[atoms > 0]
-    if atoms.size < 50:
-        raise ValueError("need at least 50 atoms for a decay fit")
-    if not 0.0 < alpha_at_zero < 1.0:
-        raise ValueError("alpha_at_zero must lie in (0, 1)")
-    atoms = np.sort(atoms)[::-1]
-    ks = np.arange(1, atoms.size + 1)
-    lo, hi = atoms.size // 10, (9 * atoms.size) // 10
-    ks, vals = ks[lo:hi], atoms[lo:hi]
-    ly = np.log(vals)
-
-    def _fit(design):
-        coef, res, _, _ = np.linalg.lstsq(design, ly, rcond=None)
-        pred = design @ coef
-        ss_res = float(np.sum((ly - pred) ** 2))
-        ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-        return coef, 1.0 - ss_res / ss_tot, ss_res
-
-    x_pow = np.column_stack([np.log(ks), np.ones_like(ly)])
-    coef_p, r2_pow, ss_res = _fit(x_pow)
-    coef_e, r2_exp, _ = _fit(np.column_stack([ks.astype(float), np.ones_like(ly)]))
-    dof = max(ly.size - 2, 1)
-    sxx = float(np.sum((np.log(ks) - np.log(ks).mean()) ** 2))
-    se = math.sqrt(ss_res / dof / sxx)
-    return DecaySlopeReport(slope=float(coef_p[0]), std_error=se,
-                            expected_slope=-1.0 / alpha_at_zero,
-                            power_fit_r2=r2_pow, exponential_fit_r2=r2_exp)
-
-
-def squared_output_correlation(cfg, x, p, replicates, rng):
-    """Empirical correlation of the squared first two output coordinates over
-    network re-draws at hidden widths p.  Each replicate draws the variances
-    and then the single input's pre-activations from their conditional law
-    (`network.forward_law`), which is exact and forms no weight matrix."""
-    from .network import forward_law, sample_lambdas
-
-    if cfg.d_out < 2:
-        raise ValueError("squared_output_correlation needs d_out >= 2")
-    cfg_p = dc_replace(cfg, widths=[int(p)] * cfg.n_hidden)
-    sq = np.empty((int(replicates), 2))
-    for i in range(int(replicates)):
-        z = forward_law(cfg_p, sample_lambdas(cfg_p, rng), x, rng)[-1]
-        sq[i] = z[0] ** 2, z[1] ** 2
-    return float(np.corrcoef(sq[:, 0], sq[:, 1])[0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ from scipy import stats as st
 
 from levynet import levy
 from levynet.activations import LINEAR, RELU, TANH, ActivationKind, leaky_relu
+from levynet.kernels import homogeneous_moment
 from levynet.levy import (LevyTriple, atomic_measure, beta_measure,
                           default_atom_floor, gamma_measure,
                           gg_pareto_measure, horseshoe_measure,
                           inverse_tail_intensity, mean_mass_below,
-                          mix_with_chi2, moment, sample_id_batch, sample_ppp,
+                          mix_with_chi2, moment, sample_id_batch,
                           sample_ppp_matrix, scaled_stable_beta_measure,
                           stable_measure, tail_intensity, trivial_measure,
                           activation_transform)
@@ -480,20 +481,22 @@ def test_activation_transform_rejects_nonhomogeneous():
 
 def test_sample_ppp_atoms_sorted_and_floored():
     m = gamma_measure(2.0, 1.0)
-    pp = sample_ppp(m, RngStream(31, 0), atom_floor=1e-4)
-    assert np.all(np.diff(pp.atoms) <= 0)
-    assert np.all(pp.atoms >= 1e-4)
-    assert pp.truncation_threshold == 1e-4
-    assert pp.truncated_mean_mass == mean_mass_below(m, 1e-4)
+    atoms, floor, below = sample_ppp_matrix(m, RngStream(31, 0), atom_floor=1e-4)
+    atoms = atoms[atoms > 0]
+    assert np.all(np.diff(atoms) <= 0)
+    assert np.all(atoms >= 1e-4)
+    assert floor == 1e-4
+    assert below == mean_mass_below(m, 1e-4)
 
 
 def test_sample_ppp_compensates_an_infinite_mean_measure():
     # int_0^eps x rho(dx) is finite for every Levy measure, M1 = inf or not:
     # alpha c^alpha eps^{1-alpha} / (1 - alpha) for the stable one
     alpha, c, eps = 0.5, 1.0, 1e-3
-    pp = sample_ppp(stable_measure(alpha, c), RngStream(32, 0), atom_floor=eps)
+    _, _, below = sample_ppp_matrix(stable_measure(alpha, c), RngStream(32, 0),
+                                    atom_floor=eps)
     expect = alpha * c ** alpha * eps ** (1.0 - alpha) / (1.0 - alpha)
-    assert abs(pp.truncated_mean_mass / expect - 1.0) < 1e-14
+    assert abs(below / expect - 1.0) < 1e-14
 
 
 class _OverflowStream:
@@ -598,12 +601,13 @@ def test_sample_id_gamma_measure_exact_law():
 
 @pytest.mark.parametrize("alpha, floor", [(0.5, 1e-5), (0.7, 1e-3)])
 def test_sample_id_stable_fast_path_vs_atom_series(alpha, floor):
-    # the exact stable sampler against the truncated atom construction,
-    # which adds the mean of the dropped atoms itself (0.29 at alpha = 0.7)
+    # the exact stable sampler against the truncated atom series plus the
+    # mean of the dropped atoms (0.29 at alpha = 0.7)
     t = LevyTriple(0.0, stable_measure(alpha, 1.0))
     n = 20_000
     fast = sample_id_batch(t, RngStream(43, 0), n)  # exact sampler path
-    slow = sample_id_batch(t, RngStream(44, 0), n, atom_floor=floor)
+    atoms, _, below = sample_ppp_matrix(t.measure, RngStream(44, 0), floor, n)
+    slow = atoms.sum(axis=1) + below
     both = np.sort(np.concatenate([fast, slow]))
     f_fast = np.searchsorted(np.sort(fast), both, side="right") / n
     f_slow = np.searchsorted(np.sort(slow), both, side="right") / n
@@ -625,6 +629,27 @@ def test_sample_id_horseshoe_takes_the_exact_stable_path():
     draws = sample_id_batch(t, RngStream(46, 0), 500)
     stable = sample_positive_stable(0.5, 2.0, RngStream(46, 0), 500)
     assert np.array_equal(draws, stable)
+
+
+def test_sample_id_marked_by_an_activation():
+    # ReLU marks phi(g)^2 map beta(eta, 1/2) to gamma(eta/2, rate 1/2), whose
+    # ID law is Gamma(eta/2, rate 1/2)
+    eta, n = 2.0, 20_000
+    t = LevyTriple(0.0, beta_measure(eta, 0.5))
+    draws = sample_id_batch(t, RngStream(49, 0), n, act=RELU)
+    ks = ks_distance(draws, st.gamma(eta / 2.0, scale=2.0).cdf)
+    assert ks < 0.015
+    # a stable measure takes the exact sampler at scale c w^{1/alpha},
+    # w = E[phi(Z)^{2 alpha}], also when a floor is given
+    alpha, c = 0.6, 1.5
+    t = LevyTriple(0.0, stable_measure(alpha, c))
+    draws = sample_id_batch(t, RngStream(47, 0), 500, 1e-3, RELU)
+    w = homogeneous_moment(RELU, alpha, 1.0)
+    stable = sample_positive_stable(alpha, c * w ** (1.0 / alpha),
+                                    RngStream(47, 0), 500)
+    assert np.array_equal(draws, stable)
+    with pytest.raises(ValueError, match="homogeneous"):
+        sample_id_batch(t, RngStream(47, 0), 5, act=TANH)
 
 
 def test_sample_id_requires_floor_semantics():

@@ -11,8 +11,7 @@ from scipy import stats as st
 from levynet import levy
 from levynet.models import (MODEL_NAMES, _inverse_laplace_exponent,
                             check_id_conditions, gen_bfry_density, make_model,
-                            measure_from_spec, model_from_spec,
-                            sample_variances)
+                            measure_from_spec, model_from_spec)
 from levynet.rng import RngStream
 from levynet.stats import ks_distance
 
@@ -54,7 +53,7 @@ def test_measure_from_spec():
 
 def test_deterministic_and_bernoulli_exact_laws():
     det = make_model("deterministic", c1=3.0)
-    assert np.all(sample_variances(det, 6, RngStream(2, 0)) == 0.5)
+    assert np.all(det.sample(6, RngStream(2, 0), n=1)[0] == 0.5)
     bern = make_model("bernoulli", c=2.0)
     draws = bern.sample(100, RngStream(3, 0), n=2000)
     counts = draws.sum(axis=1)

@@ -427,14 +427,14 @@ def test_kernel_layer1_marks_have_exact_input_covariance(x, sigma_b):
 def test_kernel_layer1_draws_atoms_times_rank_normals(monkeypatch, n, d_in,
                                                       sigma_b, rank):
     atoms = []
-    sample_ppp = network.levy.sample_ppp
+    sample_ppp_matrix = network.levy.sample_ppp_matrix
 
     def recording(*args, **kwargs):
-        pp = sample_ppp(*args, **kwargs)
-        atoms.append(pp.atoms.size)
-        return pp
+        out = sample_ppp_matrix(*args, **kwargs)
+        atoms.append(np.count_nonzero(out[0]))
+        return out
 
-    monkeypatch.setattr(network.levy, "sample_ppp", recording)
+    monkeypatch.setattr(network.levy, "sample_ppp_matrix", recording)
     beta = make_model("beta", eta=2.0, b=0.5)
     cfg = NetworkConfig(d_in, 1, [1], 1.0, sigma_b, RELU, [beta])
     x = np.random.default_rng(n).standard_normal((n, d_in))

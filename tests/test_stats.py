@@ -9,9 +9,7 @@ from scipy import stats as st
 from levynet import levy
 from levynet.rng import RngStream
 from levynet.stats import (experiment_names, ks_distance, map_replicates,
-                           order_stat_cdf, run_experiment,
-                           small_weight_decay_check,
-                           squared_output_correlation, tail_exponent)
+                           order_stat_cdf, run_experiment, tail_exponent)
 
 
 def test_ks_distance_exact_small_cases():
@@ -73,7 +71,7 @@ def test_order_stat_cdf_largest_atom():
 def test_order_stat_cdf_matches_simulation():
     m = levy.gamma_measure(2.0, 1.0)
     n = 4000
-    second = np.array([levy.sample_ppp(m, RngStream(82, i)).atoms[1]
+    second = np.array([levy.sample_ppp_matrix(m, RngStream(82, i))[0][0, 1]
                        for i in range(n)])
     assert ks_distance(second, lambda x: order_stat_cdf(m, 2, x)) \
         < 1.95 / math.sqrt(n) + 0.005
@@ -85,52 +83,6 @@ def test_order_stat_cdf_atomic_measure():
     m = levy.atomic_measure([(1.0, 3.0)])
     assert order_stat_cdf(m, 1, 0.5) == pytest.approx(math.exp(-3.0))
     assert order_stat_cdf(m, 1, 1.0) == pytest.approx(1.0)
-
-
-def test_small_weight_decay_check_synthetic():
-    # exact power-law atoms lambda_(k) = k^{-2}: slope -2, alpha = 1/2
-    atoms = np.arange(1.0, 2001.0) ** -2.0
-    rep = small_weight_decay_check(atoms, 0.5)
-    assert rep.slope == pytest.approx(-2.0, abs=1e-9)
-    assert rep.expected_slope == -2.0
-    assert rep.power_law_preferred
-    # exponential decay prefers the exponential fit
-    rep = small_weight_decay_check(np.exp(-0.05 * np.arange(2000.0)), 0.5)
-    assert not rep.power_law_preferred
-    with pytest.raises(ValueError):
-        small_weight_decay_check(atoms[:10], 0.5)
-    with pytest.raises(ValueError):
-        small_weight_decay_check(atoms, 1.5)
-
-
-def test_squared_output_correlation_validates_d_out():
-    from levynet.activations import RELU
-    from levynet.models import make_model
-    from levynet.network import NetworkConfig
-
-    det = make_model("deterministic", c1=1.0)
-    cfg = NetworkConfig(1, 1, [10], 1.0, 0.0, RELU, [det])
-    with pytest.raises(ValueError):
-        squared_output_correlation(cfg, np.array([1.0]), 10, 5, RngStream(1, 0))
-
-
-def test_squared_output_correlation_regimes():
-    # the deterministic (GP) model's outputs are nearly independent (exact
-    # correlation about 0.012 at p = 200); the beta model's shared heavy
-    # variances couple them
-    from levynet.activations import RELU
-    from levynet.models import make_model
-    from levynet.network import NetworkConfig
-
-    x = np.array([1.0])
-    corr = {}
-    for name, model in (("deterministic", make_model("deterministic", c1=1.0)),
-                        ("beta", make_model("beta", eta=1.0, b=0.5))):
-        cfg = NetworkConfig(1, 2, [200], 1.0, 0.0, RELU, [model])
-        corr[name] = squared_output_correlation(cfg, x, 200, 3000,
-                                                RngStream(81, 0))
-    assert abs(corr["deterministic"]) < 0.1, corr
-    assert corr["beta"] > 0.1, corr
 
 
 def test_map_replicates_order_and_worker_invariance():
