@@ -281,8 +281,7 @@ def max_weight(config, master_seed, replicates, workers):
     rows = []
     for (name, model), maxw in zip(models, maxws):
         # each column's minimum is among its listed points
-        usable = (model.limit.measure.kind != "trivial"
-                  and np.all(maxw > 0))
+        usable = not model.limit.measure.is_trivial and np.all(maxw > 0)
         for wi, p in enumerate(widths):
             col = np.sort(maxw[:, wi])
             report.add_estimate(f"{name}/median_max_weight_p{p}",

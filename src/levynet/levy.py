@@ -57,26 +57,23 @@ _chi2_pdf = lambda x: np.exp(-np.asarray(x, dtype=float) / 2.0) / np.sqrt(
 
 @dataclass
 class MeasureDescriptor:
-    """Descriptor of a Levy measure on (0, inf).
+    """A Levy measure on (0, inf), given by its functions: a vectorized tail
+    intensity and moments, and optionally a closed-form inverse tail, density,
+    small-mass integral and exact sampler.
 
-    kind is one of "trivial", "atomic", "analytic".  Atomic measures carry a
-    list of (location, mass) pairs.  Analytic measures carry a vectorized tail
-    intensity and moments, and optionally a closed-form inverse tail, density
-    and small-mass integral.
-
-    family tags the two families with closed forms downstream:
-    ("stable", alpha, c) for alpha c^alpha x^{-alpha-1} dx, the horseshoe
-    measure included, and ("beta", eta, b) for the beta measure.  The
-    chi-square mixture, the activation transform and the ID sampler take
-    their closed forms from it.
+    A measure with a finite_sampler is finite and drawn exactly as
+    compound-Poisson rows; one without is drawn by the truncated series.
+    family keys the closed forms of the chi-square mixture, the activation
+    transform and the ID sampler: ("stable", alpha, c) for alpha c^alpha
+    x^{-alpha-1} dx, the horseshoe measure included, ("beta", eta, b) and
+    ("atomic", atoms) for (location, mass) pairs.  Support (0, 0) marks the
+    zero measure (the GP regime).
     inverse_cache holds (u_max, tabulated inverse tail) and floor_cache the
     default atom floor once computed; neither takes part in == or repr.
     """
 
-    kind: str
     name: str = "measure"
     params: dict = field(default_factory=dict)
-    atoms: tuple = ()
     support: tuple = (0.0, math.inf)
     tail_fn: object = None
     inverse_tail_fn: object = None
@@ -84,30 +81,25 @@ class MeasureDescriptor:
     moment_fn: object = None          # k -> M_k (may return inf)
     mean_below_fn: object = None      # eps -> int_0^eps x rho(dx)
     finite_sampler: object = None     # rng, size -> draws from rho/|rho| (finite measures)
-    family: tuple = None              # ("stable", alpha, c), ("beta", eta, b)
+    family: tuple = None              # ("stable", alpha, c), ("beta", eta, b), ("atomic", atoms)
     inverse_cache: tuple = field(default=None, repr=False, compare=False)
     floor_cache: float = field(default=None, repr=False, compare=False)
 
     @property
     def is_trivial(self):
-        return self.kind == "trivial"
+        return self.support == (0.0, 0.0)
 
     def total_mass(self):
         """rho((0, inf)); inf for infinite activity measures."""
-        if self.kind == "trivial":
-            return 0.0
-        if self.kind == "atomic":
-            return float(sum(m for _, m in self.atoms))
         lo = self.support[0]
         probe = max(lo * (1 + 1e-12), 1e-300) if lo > 0 else 1e-300
-        val = float(self.tail_fn(np.asarray([probe]))[0])
-        return val
+        return float(self.tail_fn(np.asarray([probe]))[0])
 
     def to_dict(self):
-        return {"kind": self.kind, "name": self.name, "params": dict(self.params)}
+        return {"name": self.name, "params": dict(self.params)}
 
     def __repr__(self):
-        return f"MeasureDescriptor({self.name}, kind={self.kind}, params={self.params})"
+        return f"MeasureDescriptor({self.name}, params={self.params})"
 
 
 @dataclass
@@ -121,12 +113,11 @@ class LevyTriple:
         if self.location_a < 0:
             raise ValueError("location_a must be >= 0")
         m = self.measure
-        if m.kind == "analytic":
-            # integrability check: int min(1, x) rho(dx) < inf
-            t1 = tail_intensity(m, 1.0) if m.support[1] > 1.0 else 0.0
-            small = mean_mass_below(m, min(1.0, m.support[1]))
-            if not np.isfinite(t1) or not np.isfinite(small):
-                raise ValueError("measure fails int min(1,x) rho(dx) < inf")
+        # integrability check: int min(1, x) rho(dx) < inf
+        t1 = tail_intensity(m, 1.0) if m.support[1] > 1.0 else 0.0
+        small = mean_mass_below(m, min(1.0, m.support[1]))
+        if not np.isfinite(t1) or not np.isfinite(small):
+            raise ValueError("measure fails int min(1,x) rho(dx) < inf")
 
     def to_dict(self):
         return {"location_a": self.location_a, "measure": self.measure.to_dict()}
@@ -232,22 +223,40 @@ def _get_fast_inverse(m, u_max):
 # ---------------------------------------------------------------------------
 
 def trivial_measure():
-    """The zero measure (GP regime)."""
-    return MeasureDescriptor(kind="trivial", name="trivial", support=(0.0, 0.0))
+    """The zero measure (GP regime): zero tail, inverse and moments, and a
+    sampler that draws nothing."""
+    zero = lambda x: np.zeros(np.shape(x))
+    return MeasureDescriptor(
+        name="trivial", support=(0.0, 0.0), tail_fn=zero, inverse_tail_fn=zero,
+        moment_fn=lambda k: 0.0, mean_below_fn=lambda e: 0.0,
+        finite_sampler=lambda rng, size: np.zeros(size))
 
 
 def atomic_measure(atoms, name="atomic"):
-    """A finite purely atomic measure given as (location, mass) pairs."""
+    """A finite purely atomic measure given as (location, mass) pairs: a step
+    tail with its exact inverse, and a sampler that picks the locations with
+    probabilities proportional to their masses."""
     atoms = tuple((float(x), float(w)) for x, w in atoms)
     if not atoms or any(x <= 0 or w <= 0 for x, w in atoms):
         raise ValueError("atoms must be positive locations with positive mass")
-    locs = np.array([x for x, _ in atoms])
+    locs, ws = np.array(atoms).T
+    tail = lambda x: sum(w * (np.asarray(x, dtype=float) < loc) for loc, w in atoms)
+    # rhobar just below each location, non-increasing in the location; the
+    # inverse at u is the largest location whose value is >= u, else 0
+    asc = np.sort(locs)
+    below = tail(asc * (1 - 1e-15))
+    ends = np.concatenate(([0.0], asc))
+    inverse = lambda u: ends[np.searchsorted(-below, -np.asarray(u, dtype=float),
+                                             side="right")]
     return MeasureDescriptor(
-        kind="atomic", name=name, atoms=atoms,
-        params={"atoms": [list(a) for a in atoms]},
-        support=(float(locs.min()), float(locs.max())),
+        name=name, params={"atoms": [list(a) for a in atoms]},
+        support=(0.0, float(locs.max())),
+        tail_fn=tail, inverse_tail_fn=inverse,
         moment_fn=lambda k: float(sum(w * x**k for x, w in atoms)),
         mean_below_fn=lambda e: float(sum(w * x for x, w in atoms if x <= e)),
+        finite_sampler=lambda rng, size: locs[rng.generator.choice(
+            len(locs), p=ws / ws.sum(), size=size)],
+        family=("atomic", atoms),
     )
 
 
@@ -260,7 +269,7 @@ def stable_measure(alpha, c):
         raise ValueError("stable measure needs alpha in (0,1), c > 0")
     ca = c**alpha
     return MeasureDescriptor(
-        kind="analytic", name="stable", params={"alpha": alpha, "c": c},
+        name="stable", params={"alpha": alpha, "c": c},
         tail_fn=lambda x: ca * np.asarray(x, dtype=float) ** (-alpha),
         inverse_tail_fn=lambda u: c * np.asarray(u, dtype=float) ** (-1.0 / alpha),
         density_fn=lambda x: alpha * ca * np.asarray(x, dtype=float) ** (-alpha - 1.0),
@@ -288,7 +297,7 @@ def gamma_measure(eta, rate):
         return eta * math.gamma(k) / rate**k
 
     return MeasureDescriptor(
-        kind="analytic", name="gamma", params={"eta": eta, "rate": rate},
+        name="gamma", params={"eta": eta, "rate": rate},
         tail_fn=lambda x: eta * sp.exp1(rate * np.asarray(x, dtype=float)),
         density_fn=lambda x: eta * np.exp(-rate * np.asarray(x, dtype=float))
         / np.asarray(x, dtype=float),
@@ -385,7 +394,7 @@ def beta_measure(eta, b):
         return eta * sp.beta(k, b)
 
     return MeasureDescriptor(
-        kind="analytic", name="beta", params={"eta": eta, "b": b},
+        name="beta", params={"eta": eta, "b": b},
         support=(0.0, 1.0),
         tail_fn=tail, inverse_tail_fn=inverse,
         density_fn=lambda x: eta * (1.0 - np.asarray(x, dtype=float)) ** (b - 1.0)
@@ -453,7 +462,7 @@ def gg_pareto_measure(eta, alpha, tau):
         return below if e <= 1.0 else below + _quad(lambda x: x * density(x), 1.0, e)
 
     return MeasureDescriptor(
-        kind="analytic", name="gg_pareto",
+        name="gg_pareto",
         params={"eta": eta, "alpha": alpha, "tau": tau},
         tail_fn=tail,
         density_fn=lambda x: np.where(
@@ -484,7 +493,7 @@ def scaled_stable_beta_measure(c):
         return c ** (2 * k - 1) * math.gamma(k - 0.5) / (math.sqrt(math.pi) * math.gamma(k))
 
     return MeasureDescriptor(
-        kind="analytic", name="scaled_stable_beta", params={"c": c},
+        name="scaled_stable_beta", params={"c": c},
         support=(0.0, c2),
         tail_fn=tail, inverse_tail_fn=inverse,
         density_fn=lambda x: (np.asarray(x, dtype=float) ** (-1.5)
@@ -515,7 +524,7 @@ def finite_measure(total_mass, survival, sampler=None, density=None,
         return total_mass * _quad(f, support[0], support[1])
 
     return MeasureDescriptor(
-        kind="analytic", name=name, params=params or {},
+        name=name, params=params or {},
         support=support,
         tail_fn=lambda x: total_mass * np.asarray(survival(x), dtype=float),
         density_fn=None if density is None else (lambda x: total_mass * density(x)),
@@ -534,17 +543,10 @@ def tail_intensity(m, x):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise ValueError("tail intensity requires x > 0")
-    if m.kind == "trivial":
-        out = np.zeros_like(x_arr)
-    elif m.kind == "atomic":
-        out = np.zeros_like(x_arr, dtype=float)
-        for loc, w in m.atoms:
-            out = out + w * (x_arr < loc)
-    else:
-        lo, hi = m.support
-        out = np.where(x_arr >= hi, 0.0,
-                       m.tail_fn(np.minimum(np.maximum(x_arr, 1e-300), hi)))
-        out = np.maximum(out, 0.0)
+    hi = m.support[1]
+    out = np.where(x_arr >= hi, 0.0,
+                   m.tail_fn(np.minimum(np.maximum(x_arr, 1e-300), hi)))
+    out = np.maximum(out, 0.0)
     if np.isscalar(x) or np.asarray(x).shape == ():
         return float(np.asarray(out).ravel()[0])
     return out
@@ -556,22 +558,13 @@ def inverse_tail_intensity(m, u):
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr <= 0):
         raise ValueError("inverse tail intensity requires u > 0")
-    if m.kind == "trivial":
-        out = np.zeros_like(u_arr)
-    elif m.kind == "atomic":
-        locs = np.array(sorted((x for x, _ in m.atoms), reverse=True))
-        tails = np.array([tail_intensity(m, x * (1 - 1e-15)) for x in locs])
-        out = np.zeros_like(u_arr)
-        for loc, t in zip(locs[::-1], tails[::-1]):
-            out = np.where(u_arr <= t, loc, out)
+    if m.inverse_tail_fn is not None:
+        out = np.clip(np.asarray(m.inverse_tail_fn(u_arr), dtype=float), 0.0, m.support[1])
     else:
-        if m.inverse_tail_fn is not None:
-            out = np.clip(np.asarray(m.inverse_tail_fn(u_arr), dtype=float), 0.0, m.support[1])
-        else:
-            out = _generalized_inverse(m.tail_fn, u_arr, m.support)
-        # past the total mass (rhobar(1e-300) for an infinite measure) the inverse is 0
-        mass0 = m.total_mass()
-        out = np.where(u_arr > mass0, 0.0, out) if math.isfinite(mass0) else out
+        out = _generalized_inverse(m.tail_fn, u_arr, m.support)
+    # past the total mass (rhobar(1e-300) for an infinite measure) the inverse is 0
+    mass0 = m.total_mass()
+    out = np.where(u_arr > mass0, 0.0, out) if math.isfinite(mass0) else out
     return float(out[0]) if scalar else out
 
 
@@ -579,16 +572,12 @@ def moment(m, k):
     """M_k = int x^k rho(dx), or +inf when divergent."""
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
-    if m.kind == "trivial":
-        return 0.0
     return float(m.moment_fn(k))
 
 
 def mean_mass_below(m, eps):
     """int_0^eps x rho(dx); the deterministic compensation for atoms dropped
     below a truncation threshold."""
-    if m.kind == "trivial":
-        return 0.0
     if m.mean_below_fn is not None:
         return float(m.mean_below_fn(eps))
     eps = min(eps, m.support[1])
@@ -657,32 +646,24 @@ def mix_with_chi2(m):
     [1e-10, 100], it agrees to 1e-13 relative for gamma, gg_pareto, scaled
     stable beta and beta measures with b in {0.3, 1/2, 1, 1.5, 2, 2.7, 3, 5,
     7.3}."""
-    if m.kind == "trivial":
+    if m.is_trivial:
         return trivial_measure()
     tag, *args = m.family or (None,)
     if tag == "stable":
         a, c = args
         return stable_measure(a, c * _chi2_moment(a) ** (1.0 / a))
-    if m.kind == "atomic":
-        atoms = m.atoms
-
-        def tail(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            for loc, w in atoms:
-                out = out + w * _chi2_sf(x / loc)
-            return out
-
+    if tag == "atomic":
         return MeasureDescriptor(
-            kind="analytic", name=f"chi2mix({m.name})",
+            name=f"chi2mix({m.name})",
             params={"base": m.params}, support=(0.0, math.inf),
-            tail_fn=tail,
+            tail_fn=lambda x: sum(w * _chi2_sf(np.asarray(x, dtype=float) / loc)
+                                  for loc, w in args[0]),
             moment_fn=lambda k: moment(m, k) * _chi2_moment(k),
         )
 
     base_tail, hi = m.tail_fn, m.support[1]
     return MeasureDescriptor(
-        kind="analytic", name=f"chi2mix({m.name})", params={"base": m.params},
+        name=f"chi2mix({m.name})", params={"base": m.params},
         support=(0.0, math.inf),
         tail_fn=lambda x: _chi2_mix_rule(base_tail, hi, x),
         moment_fn=lambda k: moment(m, k) * _chi2_moment(k),
@@ -709,7 +690,7 @@ def activation_transform(t, act):
     c = t.location_a * act.c_phi
     m = t.measure
     tag, *args = m.family or (None,)
-    if m.kind == "trivial" or p2 + q2 == 0.0:
+    if m.is_trivial or p2 + q2 == 0.0:
         return c, trivial_measure()
     if tag == "stable":
         alpha, s = args
@@ -724,7 +705,7 @@ def activation_transform(t, act):
     scales = [s for s in dict.fromkeys((p2, q2)) if s > 0.0]
     tail0 = nu.tail_fn
     return c, MeasureDescriptor(
-        kind="analytic", name=f"transform({m.name})",
+        name=f"transform({m.name})",
         params={"base": m.params, "slopes": [p, q]},
         tail_fn=lambda x: w * sum(tail0(np.asarray(x, dtype=float) / s)
                                   for s in scales),
@@ -737,10 +718,11 @@ def activation_transform(t, act):
 # ---------------------------------------------------------------------------
 
 def default_atom_floor(m):
-    """Default truncation threshold: 1e-8 relative to rhobar^{-1}(1).
-    Deterministic per measure, so the (possibly bisection-backed) reference
-    point is computed once and cached on the descriptor."""
-    if m.kind != "analytic":
+    """Default truncation threshold: 1e-8 relative to rhobar^{-1}(1), and 0
+    for a finite measure with an exact sampler.  Deterministic per measure,
+    so the (possibly bisection-backed) reference point is computed once and
+    cached on the descriptor."""
+    if m.finite_sampler is not None:
         return 0.0
     if m.floor_cache is not None:
         return m.floor_cache
@@ -751,21 +733,6 @@ def default_atom_floor(m):
         ref = m.support[1] if math.isfinite(m.support[1]) else 1.0
     m.floor_cache = DEFAULT_FLOOR_REL * ref
     return m.floor_cache
-
-
-def _finite_counts_and_draws(m, rng, n):
-    gen = rng.generator
-    if m.kind == "atomic":
-        locs = np.array([x for x, _ in m.atoms])
-        ws = np.array([w for _, w in m.atoms])
-        total = ws.sum()
-        counts = gen.poisson(total, size=n)
-        draws = locs[gen.choice(len(locs), p=ws / total, size=int(counts.sum()))]
-        return counts, draws
-    total = m.total_mass()
-    counts = gen.poisson(total, size=n)
-    draws = np.asarray(m.finite_sampler(rng, int(counts.sum())), dtype=float)
-    return counts, draws
 
 
 # expected atoms per row block of `sample_id_batch`, to bound its memory
@@ -809,19 +776,21 @@ def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
     (the default floor if None; exact for finite measures).  Returns
     (atoms, truncation_threshold, truncated_mean_mass), the last being
     int_0^threshold x rho(dx), the mean of the atoms dropped below the
-    threshold; it is finite for every Levy measure."""
-    if m.kind == "trivial":
-        return np.zeros((n, 0)), 0.0, 0.0
-    if m.kind == "atomic" or m.finite_sampler is not None:
-        counts, draws = _finite_counts_and_draws(m, rng, n)
-        j = int(counts.max()) if n else 0
-        out = np.zeros((n, max(j, 1)))
-        pos = 0
-        for i, c in enumerate(counts):
-            row = np.sort(draws[pos:pos + c])[::-1]
-            out[i, :c] = row
-            pos += c
-        return out, 0.0, 0.0
+    threshold; it is finite for every Levy measure.
+
+    A finite measure is drawn exactly as compound-Poisson rows: Poisson(|rho|)
+    counts, then all the rows' atoms from its sampler in one call, scattered
+    in row order and sorted along rows.  J is the largest count, at least 1
+    unless rho is the zero measure."""
+    if m.finite_sampler is not None:
+        total = m.total_mass()
+        counts = rng.generator.poisson(total, size=n)
+        draws = np.asarray(m.finite_sampler(rng, int(counts.sum())), dtype=float)
+        width = max(int(counts.max()) if n else 0, int(total > 0))
+        out = np.zeros((n, width))
+        out[np.arange(width) < counts[:, None]] = draws
+        out.sort(axis=1)
+        return np.ascontiguousarray(out[:, ::-1]), 0.0, 0.0
     if atom_floor is None:
         atom_floor = default_atom_floor(m)
     if atom_floor <= 0:
@@ -852,17 +821,16 @@ def sample_id_batch(t, rng, n, atom_floor=None, act=None):
         if act is not None:
             c = c * homogeneous_moment(act, alpha, 1.0) ** (1.0 / alpha)
         return t.location_a * w + np.atleast_1d(sample_positive_stable(alpha, c, rng, n))
-    if m.kind == "analytic":
-        atom_floor = default_atom_floor(m) if atom_floor is None else atom_floor
-        mass = tail_intensity(m, atom_floor)
-    else:
-        mass = m.total_mass()
-    rows = max(int(_BLOCK_ATOMS / max(mass, 1.0)), 1)
     # rhobar(floor) and the compensation once per call: sample_ppp_matrix
     # would redo both per block, and without a closed form the compensation
     # is a quadrature
-    series = m.kind == "analytic" and m.finite_sampler is None
-    below = mean_mass_below(m, atom_floor) if series else 0.0
+    series = m.finite_sampler is None
+    if series:
+        atom_floor = default_atom_floor(m) if atom_floor is None else atom_floor
+        mass, below = tail_intensity(m, atom_floor), mean_mass_below(m, atom_floor)
+    else:
+        mass, below = m.total_mass(), 0.0
+    rows = max(int(_BLOCK_ATOMS / max(mass, 1.0)), 1)
     out = np.empty(n)
     for s in range(0, n, rows):
         k = min(rows, n - s)

@@ -13,8 +13,8 @@ from scipy import stats as st
 from . import levy
 from .levy import LevyTriple
 from .reporting import ExperimentReport
-from .rng import (_blocks, sample_etbfry, sample_gamma, sample_half_cauchy,
-                  sample_inverse_gamma, sample_pareto)
+from .rng import (_blocks, sample_beta, sample_etbfry, sample_gamma,
+                  sample_half_cauchy, sample_inverse_gamma, sample_pareto)
 
 __all__ = [
     "VarianceModel",
@@ -37,14 +37,12 @@ class VarianceModel:
     """A variance law: a sampler mu_p over node variances at width p, plus the
     limit triple (a, rho) that sum_j lambda_{p,j} converges to."""
 
-    def __init__(self, name, params, limit, sampler, requires_p_next=False,
-                 density_fn=None):
+    def __init__(self, name, params, limit, sampler, requires_p_next=False):
         self.name = name
         self.params = dict(params)
         self.limit = limit
         self._sampler = sampler
         self.requires_p_next = requires_p_next
-        self.density_fn = density_fn  # optional (x, p) -> pdf of mu_p
 
     def sample(self, p, rng, p_next=None, n=1):
         """An (n, p) array of iid draws from mu_p."""
@@ -266,7 +264,7 @@ def _build_model(name, params):
         return VarianceModel(
             name, {"eta": eta, "b": b},
             LevyTriple(0.0, levy.beta_measure(eta, b)),
-            lambda p, pn, rng, n: rng.generator.beta(eta / p, b, (n, p)))
+            lambda p, pn, rng, n: sample_beta(eta / p, b, rng, (n, p)))
 
     if name == "horseshoe":
         c = float(params["c"])
@@ -313,8 +311,7 @@ def _build_model(name, params):
 
         return VarianceModel(
             name, {"eta": eta, "alpha": alpha, "tau": tau},
-            LevyTriple(0.0, levy.gg_pareto_measure(eta, alpha, tau)), sampler,
-            density_fn=lambda x, p: gen_bfry_density(x, p, eta, alpha, tau))
+            LevyTriple(0.0, levy.gg_pareto_measure(eta, alpha, tau)), sampler)
 
     if name == "spike_slab":
         c = float(params["c"])
@@ -339,8 +336,9 @@ def _build_model(name, params):
     if name == "perman_generic":
         spec = params["measure"]
         m = measure_from_spec(spec) if isinstance(spec, dict) else spec
-        if m.kind != "analytic":
-            raise ValueError("perman_generic needs an analytic measure")
+        if m.is_trivial or (m.family or (None,))[0] == "atomic":
+            raise ValueError("perman_generic needs an analytic measure, "
+                             "not the zero measure or an atomic one")
         cache = {}
 
         def sampler(p, pn, rng, n):

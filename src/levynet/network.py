@@ -336,7 +336,7 @@ def _random_kernels(cfg, kmat, rng, factor=None):
     for model in cfg.variance_models:
         a, m = model.limit.location_a, model.limit.measure
         floor = None
-        if m.kind == "analytic":
+        if m.finite_sampler is None:
             # keep atoms adding over 1e-8 of the running trace; one input's
             # Sigma vector reads as a 1 x n matrix whose diagonal is its first
             # entry, so the ratio is 1 and every replicate gets the floor

@@ -20,7 +20,6 @@ from .special import upper_incomplete_gamma
 
 __all__ = [
     "RngStream",
-    "sample_std_normal",
     "sample_gamma",
     "sample_beta",
     "sample_inverse_gamma",
@@ -78,11 +77,6 @@ def _blocks(a):
 def _positive(name, value):
     if not np.all(np.asarray(value) > 0):
         raise ValueError(f"{name} must be > 0, got {value}")
-
-
-def sample_std_normal(rng, size=None):
-    """Standard normal draw(s)."""
-    return rng.generator.standard_normal(size)
 
 
 def sample_gamma(shape, rate, rng, size=None):

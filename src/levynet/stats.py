@@ -56,13 +56,13 @@ def order_stat_cdf(m, k, x):
     """Limit CDF of the k-th largest variance,
     F_k(x) = e^{-rhobar(x)} sum_{i<k} rhobar(x)^i / i!; zero at x <= 0 for
     infinite-mass measures."""
-    if m.kind == "trivial":
+    if m.is_trivial:
         raise ValueError("order_stat_cdf is undefined for the trivial measure")
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(x, dtype=float)
     r = np.where(x > 0, levy.tail_intensity(m, np.maximum(x, 1e-300)), np.inf)
-    if m.kind != "analytic" or math.isfinite(m.total_mass()):
+    if math.isfinite(m.total_mass()):
         r = np.where(x >= 0, np.where(x > 0, r, m.total_mass()), np.inf)
     out = np.zeros_like(r)
     finite = np.isfinite(r)

@@ -196,7 +196,7 @@ def test_closed_form_inverse_matches_bisection(name):
     us = np.geomspace(1e-6, 10.0, 25)
     closed = inverse_tail_intensity(m, us)
     bare = levy.MeasureDescriptor(
-        kind="analytic", name="copy", support=m.support, tail_fn=m.tail_fn)
+        name="copy", support=m.support, tail_fn=m.tail_fn)
     bisected = inverse_tail_intensity(bare, us)
     ok = closed > 0
     assert np.allclose(closed[ok], bisected[ok], rtol=1e-8)
@@ -219,7 +219,7 @@ def test_inverse_tail_intensity_calls_the_tail_per_halving_not_per_point(base):
         calls.append(np.size(x))
         return base.tail_fn(x)
 
-    m = levy.MeasureDescriptor(kind="analytic", name="counted",
+    m = levy.MeasureDescriptor(name="counted",
                                support=base.support, tail_fn=counted)
     counts = []
     for us in (np.array([0.3]), np.geomspace(1e-10, 1e3, 200)):
@@ -567,6 +567,69 @@ def test_atomic_ppp_counts():
     counts = (atoms > 0).sum(axis=1)
     assert np.all(atoms[atoms > 0] == 2.0)
     assert abs(counts.mean() - 3.0) < 4 * math.sqrt(3.0 / 2000)
+
+
+def _rows_by_loop(m, draw, rng, n):
+    # the per-row reference: Poisson(|rho|) counts, every row's atoms in one
+    # draw, then each row sorted decreasing on its own and padded with zeros
+    if m.is_trivial:
+        return np.zeros((n, 0))
+    counts = rng.generator.poisson(m.total_mass(), size=n)
+    draws = draw(rng, int(counts.sum()))
+    out = np.zeros((n, max(int(counts.max()) if n else 0, 1)))
+    pos = 0
+    for i, c in enumerate(counts):
+        out[i, :c] = np.sort(draws[pos:pos + c])[::-1]
+        pos += c
+    return out
+
+
+def _finite_cases():
+    atoms = [(0.5, 1.0), (2.0, 3.0), (1.0, 0.25)]
+    locs, ws = np.array(atoms).T
+
+    def by_choice(locs, ws):
+        return lambda rng, k: locs[rng.generator.choice(
+            len(locs), p=ws / ws.sum(), size=k)]
+
+    slab = make_model("spike_slab", c=1.5, slab={"kind": "gamma", "shape": 2.0,
+                                                 "rate": 1.0}).limit.measure
+    return {
+        "three_atoms": (atomic_measure(atoms), by_choice(locs, ws)),
+        "gamma_slab": (slab, lambda rng, k: rng.generator.gamma(2.0, size=k) / 1.0),
+        "zero": (trivial_measure(), None),
+        # mass 1e-9: every row of a small draw is empty
+        "empty": (atomic_measure([(1.0, 1e-9)]),
+                  by_choice(np.array([1.0]), np.array([1e-9]))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_finite_cases()))
+@pytest.mark.parametrize("n", [0, 1, 7, 500])
+def test_compound_poisson_rows_match_the_per_row_loop(case, n):
+    m, draw = _finite_cases()[case]
+    rng, ref = RngStream(37, n), RngStream(37, n)
+    atoms, floor, below = sample_ppp_matrix(m, rng, n=n)
+    expect = _rows_by_loop(m, draw, ref, n)
+    assert atoms.shape == expect.shape and atoms.tobytes() == expect.tobytes()
+    assert (floor, below) == (0.0, 0.0)
+    # rows decrease, so the zero padding comes after every atom
+    assert np.all(np.diff(atoms, axis=1) <= 0.0) and np.all(atoms >= 0.0)
+    if case == "empty":
+        assert atoms.shape == (n, 1) and not atoms.any()
+    assert np.array_equal(rng.generator.random(4), ref.generator.random(4))
+
+
+def test_zero_measure_draws_no_random_numbers():
+    rng, n = RngStream(38, 0), 1000
+    atoms, _, _ = sample_ppp_matrix(trivial_measure(), rng, n=n)
+    assert atoms.shape == (n, 0)
+    t = LevyTriple(0.8, trivial_measure())
+    assert np.array_equal(sample_id_batch(t, rng, n), np.full(n, 0.8))
+    assert np.array_equal(sample_id_batch(t, rng, n, act=RELU),
+                          np.full(n, 0.8 * RELU.c_phi))
+    assert np.array_equal(rng.generator.random(4),
+                          RngStream(38, 0).generator.random(4))
 
 
 def test_default_atom_floor_positive():

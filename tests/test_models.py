@@ -109,8 +109,7 @@ def test_spike_slab_point_mass_atoms_exact():
     assert set(vals) <= {0.0, 3.0}
     hits = (draws == 3.0).sum(axis=1)
     assert abs(hits.mean() - 2.0) < 4 * math.sqrt(2.0 / 1000)
-    assert m.limit.measure.kind == "atomic"
-    assert m.limit.measure.atoms == ((3.0, 2.0),)
+    assert m.limit.measure.family == ("atomic", ((3.0, 2.0),))
 
 
 def test_spike_slab_gamma_slab_tail():
@@ -129,6 +128,20 @@ def test_perman_generic_matches_gamma_limit():
     draws = m.sample(300, RngStream(10, 0), n=3000)
     sums = draws.sum(axis=1)
     assert ks_distance(sums, st.gamma(1.0).cdf) < 0.035
+
+
+@pytest.mark.parametrize("spec", [{"name": "trivial"},
+                                  {"name": "atomic",
+                                   "params": {"atoms": [[1.0, 2.0]]}}])
+def test_perman_generic_rejects_the_zero_and_atomic_measures(spec):
+    with pytest.raises(ValueError, match="needs an analytic measure"):
+        make_model("perman_generic", measure=spec)
+
+
+def test_perman_generic_accepts_a_slab_measure():
+    slab = make_model("spike_slab", c=1.5, slab={"kind": "gamma", "shape": 2.0,
+                                                 "rate": 1.0}).limit.measure
+    assert make_model("perman_generic", measure=slab).limit.measure is slab
 
 
 @pytest.mark.parametrize("q", [300.0, 360.0, 400.0])
