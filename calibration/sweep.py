@@ -15,6 +15,8 @@ Checks:
   02      tests/test_acceptance.py::test_criterion_02_output_correlation
   04      tests/test_acceptance.py::test_criterion_04_single_input_output_laws
           (through the test module's own single_input_output_statistics)
+  05      tests/test_acceptance.py::test_criterion_05_kernel_moments
+          (through the test module's own kernel_moment_statistics)
   07      tests/test_acceptance.py::test_criterion_07_extreme_value_law
           (through the test module's own extreme_value_statistics)
   09      tests/test_acceptance.py::test_criterion_09_compressibility
@@ -41,6 +43,7 @@ from scipy import stats as st  # noqa: E402
 
 from levynet.stats import run_experiment  # noqa: E402
 from test_acceptance import (extreme_value_statistics,  # noqa: E402
+                             kernel_moment_statistics,
                              single_input_output_statistics)
 
 
@@ -114,6 +117,12 @@ CHECKS = {
         "test": "tests/test_acceptance.py::test_criterion_04_single_input_output_laws",
         "call": "single_input_output_statistics(seed)",
         "run": lambda seed: single_input_output_statistics(seed)[0],
+        "exact": {},
+    },
+    "05": {
+        "test": "tests/test_acceptance.py::test_criterion_05_kernel_moments",
+        "call": "kernel_moment_statistics(seed)",
+        "run": lambda seed: kernel_moment_statistics(seed)[0],
         "exact": {},
     },
     "07": {

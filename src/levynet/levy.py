@@ -5,8 +5,8 @@ A nonnegative infinitely divisible variable X ~ ID(a, rho) decomposes as a
 location a >= 0 plus the sum of the points of a Poisson process with mean
 measure rho.  Everything here is driven by the tail intensity
 rhobar(x) = rho((x, inf)) and its generalized inverse
-rhobar^{-1}(u) = inf{x > 0 : rhobar(x) < u}, which turns cumulative sums of
-unit exponentials into the decreasing atom sequence of the point process.
+rhobar^{-1}(u) = inf{x > 0 : rhobar(x) < u}, which maps uniforms scaled by
+the mass above a floor to the atoms of the point process above that floor.
 """
 
 import math
@@ -119,9 +119,6 @@ class LevyTriple:
         if not np.isfinite(t1) or not np.isfinite(small):
             raise ValueError("measure fails int min(1,x) rho(dx) < inf")
 
-    def to_dict(self):
-        return {"location_a": self.location_a, "measure": self.measure.to_dict()}
-
 
 # ---------------------------------------------------------------------------
 # quadrature and root-finding helpers
@@ -178,17 +175,22 @@ def _generalized_inverse(f, y, support):
     return np.where(top, hi_s, np.exp(0.5 * (lo + hi)))
 
 
+# the tabulated inverse covers u in [1e-16, u_max] at 800 points per decade of x
+_TABLE_U_MIN = 1e-16
+_TABLE_PER_DECADE = 800
+
+
 class _TabulatedInverse:
     """Interpolated generalized inverse of a tail intensity, built once and
     evaluated with np.interp; used on hot sampling paths where a closed-form
     inverse is unavailable.  Accuracy is validated against bisection in tests."""
 
-    def __init__(self, m, u_max, u_min=1e-16, points_per_decade=800):
-        x_lo, x_hi = _generalized_inverse(m.tail_fn, [u_max, u_min], m.support)
+    def __init__(self, m, u_max):
+        x_lo, x_hi = _generalized_inverse(m.tail_fn, [u_max, _TABLE_U_MIN], m.support)
         x_lo = max(x_lo, 1e-300)
         if not math.isfinite(x_hi):
             raise ValueError("tail does not decay; cannot tabulate inverse")
-        n = max(int(points_per_decade * (math.log10(x_hi) - math.log10(x_lo))), 64)
+        n = max(int(_TABLE_PER_DECADE * (math.log10(x_hi) - math.log10(x_lo))), 64)
         n = min(n, 400000)
         grid_x = np.exp(np.linspace(math.log(x_lo), math.log(x_hi), n))
         grid_u = np.asarray(m.tail_fn(grid_x), dtype=float)
@@ -199,8 +201,6 @@ class _TabulatedInverse:
         grid_x, grid_u = grid_x[keep], grid_u[keep]
         self._log_u = np.log(grid_u[::-1])       # increasing
         self._log_x = np.log(grid_x[::-1])
-        self.x_at_u_min = x_hi
-        self.x_at_u_max = x_lo
 
     def __call__(self, u):
         lu = np.log(np.asarray(u, dtype=float))
@@ -504,7 +504,7 @@ def scaled_stable_beta_measure(c):
 
 
 def finite_measure(total_mass, survival, sampler=None, density=None,
-                   mean_fn=None, name="finite", params=None, support=(0.0, math.inf)):
+                   name="finite", params=None):
     """A finite measure c*H given by its total mass and the survival function
     of the normalized probability law H, plus an optional exact sampler.
     Moments integrate x^k against the density, or k x^{k-1} against the
@@ -521,15 +521,13 @@ def finite_measure(total_mass, survival, sampler=None, density=None,
             # x^k overflows only at the far end of the quadrature, where H
             # has no mass left: inf * 0 counts as 0 there
             return np.nan_to_num(v, nan=0.0, posinf=math.inf)
-        return total_mass * _quad(f, support[0], support[1])
+        return total_mass * _quad(f, 0.0, math.inf)
 
     return MeasureDescriptor(
         name=name, params=params or {},
-        support=support,
         tail_fn=lambda x: total_mass * np.asarray(survival(x), dtype=float),
         density_fn=None if density is None else (lambda x: total_mass * density(x)),
         moment_fn=mom,
-        mean_below_fn=mean_fn,
         finite_sampler=sampler,
     )
 
@@ -739,34 +737,40 @@ def default_atom_floor(m):
 _BLOCK_ATOMS = 2 ** 16
 
 
-def _atom_series(m, rng, n, atom_floor, mass):
-    """n draws of the inverse-Levy-measure series of the analytic measure m
-    truncated at atom_floor, with mass = rhobar(atom_floor) (Ferguson and
-    Klass 1972; Rosinski 2001): atoms rhobar^{-1}(G_1) > rhobar^{-1}(G_2) > ...
-    for the arrival times G_k <= mass of a unit-rate Poisson process.  One
-    (n, J) block of exponentials, J a ten-sigma bound on the atom count, is
-    cumulated along rows and mapped through the inverse tail; a row whose
-    block ends at or below mass is then extended one exponential at a time,
-    in row order.  Returns the rows as an (n, width) array padded with zeros,
-    width = J or the longest extended row."""
-    inv = _get_fast_inverse(m, mass * (1 + 1e-9) + 1e-12)
-    gen = rng.generator
-    ncols = int(mass + 10.0 * math.sqrt(mass + 1.0) + 20.0)
-    g = gen.standard_exponential((n, ncols)).cumsum(axis=1)
-    active = g <= mass
-    out = np.zeros_like(g)
-    out[active] = inv(g[active])
-    extended = []
-    for i in np.flatnonzero(active[:, -1]):
-        last, extra = g[i, -1], []
-        while (last := last + gen.standard_exponential()) <= mass:
-            extra.append(float(inv(last)))
-        extended.append((i, extra))
-    width = max((len(extra) for _, extra in extended), default=0)
-    if width:
-        out = np.pad(out, ((0, 0), (0, width)))
-        for i, extra in extended:
-            out[i, ncols:ncols + len(extra)] = extra
+def _truncation(m, atom_floor):
+    """(floor, rhobar(floor), int_0^floor x rho(dx)) of the rows drawn for m:
+    (0, |rho|, 0) for a finite measure, whose rows are exact, and otherwise
+    the given floor, or the default one if None, which must be > 0."""
+    if m.finite_sampler is not None:
+        return 0.0, m.total_mass(), 0.0
+    floor = default_atom_floor(m) if atom_floor is None else float(atom_floor)
+    if floor <= 0:
+        raise ValueError("atom_floor must be > 0 for infinite-activity measures")
+    return floor, float(tail_intensity(m, floor)), mean_mass_below(m, floor)
+
+
+def _rows(m, rng, n, mass):
+    """n rows of the Poisson process with mean measure rho above a floor of
+    mass = rhobar(floor), as an (n, width) array sorted decreasing along rows
+    and padded with zeros, width the largest count (at least 1 if mass > 0).
+    Given Poisson(mass) counts the atoms are iid: one call of a finite
+    measure's sampler, else rhobar^{-1}(mass U) for U uniform on (0, 1]
+    (Ferguson and Klass 1972; Rosinski 2001).  Their keys, -atom or U, are
+    sorted along rows before the map, so a tabulated inverse reads in order."""
+    counts = rng.generator.poisson(mass, size=n)
+    total = int(counts.sum())
+    hit = np.arange(max(int(counts.max()) if n else 0, int(mass > 0))) < counts[:, None]
+    if m.finite_sampler is not None:
+        keys = -np.asarray(m.finite_sampler(rng, total), dtype=float)
+        to_atoms = np.negative
+    else:
+        inv = _get_fast_inverse(m, mass * (1 + 1e-9) + 1e-12)
+        keys, to_atoms = 1.0 - rng.generator.random(total), lambda u: inv(mass * u)
+    keyed = np.full(hit.shape, np.inf)
+    keyed[hit] = keys
+    keyed.sort(axis=1)
+    out = np.zeros(hit.shape)
+    out[hit] = to_atoms(keyed[hit])
     return out
 
 
@@ -778,25 +782,11 @@ def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
     int_0^threshold x rho(dx), the mean of the atoms dropped below the
     threshold; it is finite for every Levy measure.
 
-    A finite measure is drawn exactly as compound-Poisson rows: Poisson(|rho|)
-    counts, then all the rows' atoms from its sampler in one call, scattered
-    in row order and sorted along rows.  J is the largest count, at least 1
-    unless rho is the zero measure."""
-    if m.finite_sampler is not None:
-        total = m.total_mass()
-        counts = rng.generator.poisson(total, size=n)
-        draws = np.asarray(m.finite_sampler(rng, int(counts.sum())), dtype=float)
-        width = max(int(counts.max()) if n else 0, int(total > 0))
-        out = np.zeros((n, width))
-        out[np.arange(width) < counts[:, None]] = draws
-        out.sort(axis=1)
-        return np.ascontiguousarray(out[:, ::-1]), 0.0, 0.0
-    if atom_floor is None:
-        atom_floor = default_atom_floor(m)
-    if atom_floor <= 0:
-        raise ValueError("atom_floor must be > 0 for infinite-activity measures")
-    atoms = _atom_series(m, rng, n, atom_floor, float(tail_intensity(m, atom_floor)))
-    return atoms, float(atom_floor), mean_mass_below(m, atom_floor)
+    Every measure is drawn as compound-Poisson rows by `_rows`: exact from a
+    finite measure's sampler, by the inverse tail at sorted uniforms otherwise.
+    J is the largest count, at least 1 unless no mass lies above the floor."""
+    floor, mass, below = _truncation(m, atom_floor)
+    return _rows(m, rng, n, mass), floor, below
 
 
 def sample_id_batch(t, rng, n, atom_floor=None, act=None):
@@ -809,9 +799,9 @@ def sample_id_batch(t, rng, n, atom_floor=None, act=None):
     atoms dropped below the floor (the default floor if None).
 
     A stable(alpha, c) measure takes the exact positive-stable sampler at scale
-    c E[|phi(Z)|^{2 alpha}]^{1/alpha}, whatever the floor.  Otherwise rows are
-    drawn in blocks of about 2^16 expected atoms, each block's marks after its
-    atoms."""
+    c E[|phi(Z)|^{2 alpha}]^{1/alpha}, whatever the floor.  Otherwise `_rows`
+    draws blocks of about 2^16 expected atoms, each block's marks after its
+    atoms, with rhobar(floor) and the compensation found once a call."""
     if act is not None and not act.homogeneous:
         raise ValueError("marked ID sums require a positive homogeneous activation")
     m, w = t.measure, 1.0 if act is None else act.c_phi
@@ -821,21 +811,11 @@ def sample_id_batch(t, rng, n, atom_floor=None, act=None):
         if act is not None:
             c = c * homogeneous_moment(act, alpha, 1.0) ** (1.0 / alpha)
         return t.location_a * w + np.atleast_1d(sample_positive_stable(alpha, c, rng, n))
-    # rhobar(floor) and the compensation once per call: sample_ppp_matrix
-    # would redo both per block, and without a closed form the compensation
-    # is a quadrature
-    series = m.finite_sampler is None
-    if series:
-        atom_floor = default_atom_floor(m) if atom_floor is None else atom_floor
-        mass, below = tail_intensity(m, atom_floor), mean_mass_below(m, atom_floor)
-    else:
-        mass, below = m.total_mass(), 0.0
+    _, mass, below = _truncation(m, atom_floor)
     rows = max(int(_BLOCK_ATOMS / max(mass, 1.0)), 1)
     out = np.empty(n)
     for s in range(0, n, rows):
-        k = min(rows, n - s)
-        atoms = (_atom_series(m, rng, k, atom_floor, mass) if series
-                 else sample_ppp_matrix(m, rng, atom_floor, k)[0])
+        atoms = _rows(m, rng, min(rows, n - s), mass)
         if act is None:
             sums = atoms.sum(axis=1)
         else:

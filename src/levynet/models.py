@@ -153,11 +153,16 @@ def _inverse_laplace_exponent(m, p):
     return b
 
 
+# perman's CDF: a trapezoid integral on 200 001 log-spaced points, kept at 4 000
+_PERMAN_DENSE = 200001
+_PERMAN_GRID = 4000
+
+
 class _PermanSampler:
     """Inverse-CDF sampler for mu_p(du) = (1 - e^{-u b}) / p rho(du) with
     b = psi^{-1}(p); the CDF is tabulated on a log grid once per width."""
 
-    def __init__(self, m, p, grid_size=4000, dense=200001):
+    def __init__(self, m, p):
         b = _inverse_laplace_exponent(m, p)
         # lower cutoff: P(X < x_lo) <= b * mean_below(x_lo) / p made negligible
         x_lo = levy.inverse_tail_intensity(m, min(1e6, 100.0 * p))
@@ -172,14 +177,14 @@ class _PermanSampler:
         hi_sup = m.support[1]
         x_hi = min(x_hi, hi_sup) if math.isfinite(hi_sup) else x_hi
         # dense log grid for the cumulative integral I(x) = int_x^hi e^{-bu} rhobar(u) du
-        u = np.exp(np.linspace(math.log(x_lo), math.log(x_hi), dense))
+        u = np.exp(np.linspace(math.log(x_lo), math.log(x_hi), _PERMAN_DENSE))
         w = np.exp(-b * u) * np.asarray(m.tail_fn(u), dtype=float)
         seg = 0.5 * (w[1:] + w[:-1]) * np.diff(u)
         integral_right = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
         tail_u = np.asarray(m.tail_fn(u), dtype=float)
         survival = (tail_u * (-np.expm1(-b * u)) + b * integral_right) / p
         cdf = np.clip(1.0 - survival, 0.0, 1.0)
-        idx = np.linspace(0, dense - 1, grid_size).astype(int)
+        idx = np.linspace(0, _PERMAN_DENSE - 1, _PERMAN_GRID).astype(int)
         cdf_g, logu_g = cdf[idx], np.log(u[idx])
         keep = np.concatenate(([True], np.diff(cdf_g) > 0))
         self._cdf = cdf_g[keep]

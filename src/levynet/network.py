@@ -335,15 +335,14 @@ def _random_kernels(cfg, kmat, rng, factor=None):
     out = [kmat]
     for model in cfg.variance_models:
         a, m = model.limit.location_a, model.limit.measure
-        floor = None
-        if m.finite_sampler is None:
-            # keep atoms adding over 1e-8 of the running trace; one input's
-            # Sigma vector reads as a 1 x n matrix whose diagonal is its first
-            # entry, so the ratio is 1 and every replicate gets the floor
-            # min(default, 1e-8 / (sigma_v^2 c_env))
-            d = np.diag(np.atleast_2d(kmat))
-            floor = min(levy.default_atom_floor(m), 1e-8 * max(d.sum(), 1e-300)
-                        / (sv2 * max(d.max(), 1e-300) * c_env))
+        # keep atoms adding over 1e-8 of the running trace; one input's Sigma
+        # vector reads as a 1 x n matrix whose diagonal is its first entry, so
+        # the ratio is 1 and every replicate gets the floor
+        # min(default, 1e-8 / (sigma_v^2 c_env)); a finite measure's default
+        # is 0 and its rows are exact whatever the floor
+        d = np.diag(np.atleast_2d(kmat))
+        floor = min(levy.default_atom_floor(m), 1e-8 * max(d.sum(), 1e-300)
+                    / (sv2 * max(d.max(), 1e-300) * c_env))
         if kmat.ndim == 1:  # homogeneous phi: phi(zeta)^2 = Sigma phi(g)^2
             s = levy.sample_id_batch(model.limit, rng, kmat.size, floor, act)
             kmat = cfg.sigma_b ** 2 + sv2 * s * kmat

@@ -1,6 +1,7 @@
 """Levy measures: tails, generalized inverses, transforms, and the Poisson /
 infinitely divisible samplers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -499,26 +500,88 @@ def test_sample_ppp_compensates_an_infinite_mean_measure():
     assert abs(below / expect - 1.0) < 1e-14
 
 
-class _OverflowStream:
-    """A stand-in stream: every exponential of a block is 1e-6 and every
-    scalar one 0.4, so each row of the series sampler's block ends below the
-    mass and is extended one exponential at a time."""
+class _StandInStream:
+    """A stand-in stream with fixed Poisson counts whose uniforms are all 0,
+    so a series row takes U = 1 - 0 = 1 for every atom: rhobar^{-1}(mass),
+    finite, where U = 0 would give rhobar^{-1}(0) = inf."""
 
-    class generator:
-        @staticmethod
-        def standard_exponential(size=None):
-            return 0.4 if size is None else np.full(size, 1e-6)
+    def __init__(self, counts):
+        self.generator = self
+        self.counts = np.asarray(counts)
+
+    def poisson(self, lam, size=None):
+        return self.counts[:size].copy()
+
+    def random(self, size=None):
+        return np.zeros(size)
 
 
-def test_series_sampler_extends_overflow_rows_in_place():
-    m = gamma_measure(1.0, 1.0)
-    atoms, floor, below = sample_ppp_matrix(m, _OverflowStream(), atom_floor=0.5, n=3)
-    # each row: the block's atoms, then its own serial ones, with no zeros
-    # in between and none after
-    assert np.all(atoms > 0) and np.all(np.diff(atoms, axis=1) < 0)
-    assert np.all(atoms >= floor)
-    sums = sample_id_batch(LevyTriple(0.0, m), _OverflowStream(), 3, atom_floor=0.5)
-    assert np.allclose(sums, atoms.sum(axis=1) + below, rtol=1e-14, atol=0.0)
+def test_series_rows_on_a_stand_in_stream():
+    # the 1/2-stable measure without its family tag, so that sample_id_batch
+    # sums its series rather than taking the exact stable path
+    m = dataclasses.replace(stable_measure(0.5, 1.0), family=None)
+    counts = np.array([3, 0, 5, 1])
+    atoms, floor, below = sample_ppp_matrix(m, _StandInStream(counts), 1e-2, 4)
+    mass = tail_intensity(m, floor)
+    hit = atoms > 0
+    assert atoms.shape == (4, 5)
+    assert np.array_equal(hit, np.arange(5) < counts[:, None])
+    assert np.all(np.isfinite(atoms))
+    assert np.all(atoms[hit] == inverse_tail_intensity(m, mass))
+    assert np.all(np.diff(atoms, axis=1) <= 0.0)
+    sums = sample_id_batch(LevyTriple(0.0, m), _StandInStream(counts), 4, 1e-2)
+    assert sums.tobytes() == (atoms.sum(axis=1) + below).tobytes()
+
+
+def _padded_exponential_series(m, rng, n, floor):
+    """The reference series: the arrival times G_1 < G_2 < ... <= rhobar(floor)
+    of a unit-rate Poisson process as cumulated exponentials, in blocks of
+    rows padded to ten standard deviations past the mean count, mapped to
+    atoms rhobar^{-1}(G_k).  Returns each row's 1st, 2nd and 5th atoms (0
+    where the row is shorter), its count and its sum."""
+    mass = tail_intensity(m, floor)
+    inv = levy._get_fast_inverse(m, mass * (1 + 1e-9) + 1e-12)
+    ncols = int(mass + 10.0 * math.sqrt(mass + 1.0) + 20.0)
+    parts = []
+    for k in range(0, n, 2000):
+        g = rng.generator.standard_exponential((min(2000, n - k), ncols)).cumsum(axis=1)
+        assert np.all(g[:, -1] > mass)
+        atoms = np.where(g <= mass, inv(np.minimum(g, mass)), 0.0)
+        parts.append(np.column_stack([atoms[:, [0, 1, 4]], (g <= mass).sum(axis=1),
+                                      atoms.sum(axis=1)]))
+    return np.concatenate(parts)
+
+
+def _two_sample_ks(a, b):
+    both = np.sort(np.concatenate([a, b]))
+    fa = np.searchsorted(np.sort(a), both, side="right") / a.size
+    fb = np.searchsorted(np.sort(b), both, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+_SERIES_CASES = {
+    "beta_1_half": (beta_measure(1.0, 0.5), 1e-4),
+    "gg_pareto": (gg_pareto_measure(4.0, 0.5, 5.0), 1e-3),
+    "beta_10_5": (beta_measure(10.0, 5.0), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES_CASES))
+def test_series_rows_match_the_padded_exponential_series_in_law(name):
+    # the 1st, 2nd and 5th atoms, the counts and the row sums against the
+    # cumulated-exponential series, each by a two-sample KS at the 1e-3 level
+    m, floor = _SERIES_CASES[name]
+    n = 20_000
+    floor = default_atom_floor(m) if floor is None else floor
+    atoms, _, _ = sample_ppp_matrix(m, RngStream(39, 0), floor, n)
+    atoms = np.pad(atoms, ((0, 0), (0, max(5 - atoms.shape[1], 0))))
+    rows = np.column_stack([atoms[:, [0, 1, 4]], (atoms > 0).sum(axis=1),
+                            atoms.sum(axis=1)])
+    ref = _padded_exponential_series(m, RngStream(40, 0), n, floor)
+    crit = 1.95 * math.sqrt(2.0 / n)
+    for j, stat in enumerate(("atom1", "atom2", "atom5", "count", "sum")):
+        ks = _two_sample_ks(rows[:, j], ref[:, j])
+        assert ks < crit, f"{name} {stat}: ks {ks:.4f} >= {crit:.4f}"
 
 
 def test_ppp_counts_above_threshold_poisson():
@@ -671,11 +734,7 @@ def test_sample_id_stable_fast_path_vs_atom_series(alpha, floor):
     fast = sample_id_batch(t, RngStream(43, 0), n)  # exact sampler path
     atoms, _, below = sample_ppp_matrix(t.measure, RngStream(44, 0), floor, n)
     slow = atoms.sum(axis=1) + below
-    both = np.sort(np.concatenate([fast, slow]))
-    f_fast = np.searchsorted(np.sort(fast), both, side="right") / n
-    f_slow = np.searchsorted(np.sort(slow), both, side="right") / n
-    ks2 = float(np.max(np.abs(f_fast - f_slow)))
-    assert ks2 < 1.95 * math.sqrt(2.0 / n)
+    assert _two_sample_ks(fast, slow) < 1.95 * math.sqrt(2.0 / n)
 
 
 def test_sample_id_horseshoe_is_inverse_gamma():

@@ -373,6 +373,37 @@ def test_trivial_kernel_is_deterministic():
     assert np.allclose(ks[1], expect, rtol=1e-10)
 
 
+def _tanh_outer_by_gauss_hermite(kmat, nodes=80):
+    """E[tanh(z_i) tanh(z_j)] over z ~ N(0, kmat), each entry by a 2-D
+    Gauss-Hermite rule on the Cholesky factor of its 2 x 2 block."""
+    g, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w2 = np.outer(w, w) / w.sum() ** 2
+    out = np.empty_like(kmat)
+    for i, j in np.ndindex(kmat.shape):
+        a = math.sqrt(kmat[i, i])
+        b = kmat[i, j] / a
+        c = math.sqrt(max(kmat[j, j] - b * b, 0.0))
+        zi, zj = a * g[:, None], b * g[:, None] + c * g[None, :]
+        out[i, j] = float((w2 * np.tanh(zi) * np.tanh(zj)).sum())
+    return out
+
+
+def test_tanh_kernel_takes_the_monte_carlo_outer_moment():
+    # a deterministic layer adds no atoms, so K^{(2)} = sigma_b^2 + sigma_v^2
+    # c1 E[tanh(z) tanh(z')], z ~ N(0, K^{(1)}), the expectation taken by
+    # _cond_phi_outer's Monte-Carlo branch
+    cfg = NetworkConfig(2, 1, [1], 1.0, 0.1, TANH,
+                        [make_model("deterministic", c1=1.0)])
+    inputs = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    n = 20
+    draws = np.array([sample_random_kernel(cfg, inputs, RngStream(65, i))[1]
+                      for i in range(n)])
+    k1 = 0.01 + inputs @ inputs.T / 2.0
+    expect = 0.01 + _tanh_outer_by_gauss_hermite(k1)
+    se = draws.std(axis=0, ddof=1) / math.sqrt(n)
+    assert np.all(np.abs(draws.mean(axis=0) - expect) <= 4 * se)
+
+
 class _CountingNormals:
     """A stream that counts the standard normals it hands out."""
 
