@@ -176,8 +176,7 @@ def _generalized_inverse(f, y, support):
 
 
 # the tabulated inverse covers u in [1e-16, u_max] at 800 points per decade of x
-_TABLE_U_MIN = 1e-16
-_TABLE_PER_DECADE = 800
+_TABLE_U_MIN, _TABLE_PER_DECADE = 1e-16, 800
 
 
 class _TabulatedInverse:
@@ -760,18 +759,20 @@ def _rows(m, rng, n, mass):
     counts = rng.generator.poisson(mass, size=n)
     total = int(counts.sum())
     hit = np.arange(max(int(counts.max()) if n else 0, int(mass > 0))) < counts[:, None]
+    keyed = np.full(hit.shape, np.inf)
     if m.finite_sampler is not None:
-        keys = -np.asarray(m.finite_sampler(rng, total), dtype=float)
+        keyed[hit] = -np.asarray(m.finite_sampler(rng, total), dtype=float)
         to_atoms = np.negative
     else:
         inv = _get_fast_inverse(m, mass * (1 + 1e-9) + 1e-12)
-        keys, to_atoms = 1.0 - rng.generator.random(total), lambda u: inv(mass * u)
-    keyed = np.full(hit.shape, np.inf)
-    keyed[hit] = keys
+        keyed[hit] = 1.0 - rng.generator.random(total)
+        to_atoms = lambda u: inv(np.multiply(u, mass, out=u))
     keyed.sort(axis=1)
-    out = np.zeros(hit.shape)
-    out[hit] = to_atoms(keyed[hit])
-    return out
+    # the keys' array is reused as the output: one (n, width) array, not two
+    atoms = to_atoms(keyed[hit])
+    keyed.fill(0.0)
+    keyed[hit] = atoms
+    return keyed
 
 
 def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
@@ -782,9 +783,8 @@ def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
     int_0^threshold x rho(dx), the mean of the atoms dropped below the
     threshold; it is finite for every Levy measure.
 
-    Every measure is drawn as compound-Poisson rows by `_rows`: exact from a
-    finite measure's sampler, by the inverse tail at sorted uniforms otherwise.
-    J is the largest count, at least 1 unless no mass lies above the floor."""
+    Every measure's rows come from `_rows`, exact for a finite measure and by
+    the inverse tail at sorted uniforms otherwise, J their largest count."""
     floor, mass, below = _truncation(m, atom_floor)
     return _rows(m, rng, n, mass), floor, below
 
