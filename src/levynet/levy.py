@@ -768,11 +768,11 @@ def _rows(m, rng, n, mass):
         keyed[hit] = 1.0 - rng.generator.random(total)
         to_atoms = lambda u: inv(np.multiply(u, mass, out=u))
     keyed.sort(axis=1)
-    # the keys' array is reused as the output: one (n, width) array, not two
+    # map before allocating the output: one (n, width) array beside inv's temps
     atoms = to_atoms(keyed[hit])
-    keyed.fill(0.0)
-    keyed[hit] = atoms
-    return keyed
+    out = np.zeros(hit.shape)
+    out[hit] = atoms
+    return out
 
 
 def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
