@@ -13,6 +13,7 @@ no test, bound or seed; it only records how often a correct program passes.
 Checks:
   01      tests/test_acceptance.py::test_criterion_01_truncation_error_slopes
   02      tests/test_acceptance.py::test_criterion_02_output_correlation
+          (through the test module's own output_correlation_statistics)
   04      tests/test_acceptance.py::test_criterion_04_single_input_output_laws
           (through the test module's own single_input_output_statistics)
   05      tests/test_acceptance.py::test_criterion_05_kernel_moments
@@ -20,6 +21,7 @@ Checks:
   07      tests/test_acceptance.py::test_criterion_07_extreme_value_law
           (through the test module's own extreme_value_statistics)
   09      tests/test_acceptance.py::test_criterion_09_compressibility
+          (through the test module's own compressibility_statistics)
   verify  tests/test_experiments.py::test_verify_all_checks_pass
           (and the exit code of `levynet verify` at its default replicates)
 """
@@ -42,8 +44,11 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 from scipy import stats as st  # noqa: E402
 
 from levynet.stats import run_experiment  # noqa: E402
-from test_acceptance import (extreme_value_statistics,  # noqa: E402
+from test_acceptance import (GP_RATIO_TARGETS,  # noqa: E402
+                             compressibility_statistics,
+                             extreme_value_statistics,
                              kernel_moment_statistics,
+                             output_correlation_statistics,
                              single_input_output_statistics)
 
 
@@ -52,48 +57,18 @@ def _all_checks(rep):
     return {c.label: (c.value, c.passed) for c in rep.checks}
 
 
-def _output_corr_bands(rep):
-    """Criterion 02's own bounds: |corr| < 0.02 for the GP-regime models and
-    0.22 <= corr <= 0.38 for beta."""
-    vals = {c.label.split("/")[0]: c.value for c in rep.checks}
-    return {name: (v, 0.22 <= v <= 0.38 if name == "beta" else abs(v) < 0.02)
-            for name, v in vals.items()}
-
-
-# criterion 09's targets for the GP-regime models' final mass ratio
-_GP_RATIO_TARGETS = {"deterministic": 1.0,
-                     "inverse_gamma": math.exp(-st.gamma(2.0).median())}
-
-
-def _compressibility_bands(rep):
-    """Criterion 09's own bounds: for beta, horseshoe and generalized_bfry,
-    mass ratios and pruning errors non-increasing in the width (1 if so, else
-    0) and the final ratio and error fraction below 0.05; the final ratio
-    within 0.03 of 1 for deterministic and of e^{-median Gamma(2)} for
-    inverse_gamma."""
-    by_model = {}
-    for name, width, ratio, err, frac in rep.tables["compressibility"]["rows"]:
-        by_model.setdefault(name, []).append((width, ratio, err, frac))
-    out = {}
-    for name in ("beta", "horseshoe", "generalized_bfry"):
-        _, ratios, errs, fracs = zip(*sorted(by_model[name]))
-        mono = all(a >= b for a, b in zip(ratios, ratios[1:])) and all(
-            a >= b for a, b in zip(errs, errs[1:]))
-        out[f"{name}/non_increasing"] = (float(mono), mono)
-        out[f"{name}/ratio_final"] = (ratios[-1], ratios[-1] < 0.05)
-        out[f"{name}/error_fraction_final"] = (fracs[-1], fracs[-1] < 0.05)
-    for name, target in _GP_RATIO_TARGETS.items():
-        ratio = sorted(by_model[name])[-1][1]
-        out[f"{name}/ratio_final"] = (ratio, abs(ratio - target) <= 0.03)
-    return out
-
-
 def _experiment(spec, replicates, workers, statistics):
     """A check that is one run_experiment call: seed -> statistics."""
     return {"call": (f"run_experiment({spec!r}, seed, {replicates}, "
                      f"worker_count={workers})"),
             "run": lambda seed: statistics(run_experiment(
                 spec, seed, replicates, worker_count=workers))}
+
+
+def _shared(statistics):
+    """A check whose body the test module shares: seed -> statistics."""
+    return {"call": f"{statistics.__name__}(seed)",
+            "run": lambda seed: statistics(seed)[0]}
 
 
 # p = 5000 in criterion 07: the exact median of the largest of p variances,
@@ -107,37 +82,30 @@ CHECKS = {
     },
     "02": {
         "test": "tests/test_acceptance.py::test_criterion_02_output_correlation",
-        **_experiment({"name": "output_corr", "widths": [2000],
-                       "models": ["deterministic", "inverse_gamma", "beta"]},
-                      5000, 8, _output_corr_bands),
+        **_shared(output_correlation_statistics),
         # the exact squared-output correlation of the beta model
         "exact": {"beta": 0.2501},
     },
     "04": {
         "test": "tests/test_acceptance.py::test_criterion_04_single_input_output_laws",
-        "call": "single_input_output_statistics(seed)",
-        "run": lambda seed: single_input_output_statistics(seed)[0],
-        "exact": {},
+        **_shared(single_input_output_statistics), "exact": {},
     },
     "05": {
         "test": "tests/test_acceptance.py::test_criterion_05_kernel_moments",
-        "call": "kernel_moment_statistics(seed)",
-        "run": lambda seed: kernel_moment_statistics(seed)[0],
-        "exact": {},
+        **_shared(kernel_moment_statistics), "exact": {},
     },
     "07": {
         "test": "tests/test_acceptance.py::test_criterion_07_extreme_value_law",
-        "call": "extreme_value_statistics(seed)",
-        "run": lambda seed: extreme_value_statistics(seed)[0],
+        **_shared(extreme_value_statistics),
         "exact": {"deterministic/median_max": 1.0 / _P07,
                   "inverse_gamma/median_max": float(st.invgamma(
                       2.0, scale=2.0 / _P07).ppf(2.0 ** (-1.0 / _P07)))},
     },
     "09": {
         "test": "tests/test_acceptance.py::test_criterion_09_compressibility",
-        **_experiment("compressibility", 200, 8, _compressibility_bands),
+        **_shared(compressibility_statistics),
         "exact": {f"{name}/ratio_final": target
-                  for name, target in _GP_RATIO_TARGETS.items()},
+                  for name, target in GP_RATIO_TARGETS.items()},
     },
     "verify": {
         "test": "tests/test_experiments.py::test_verify_all_checks_pass",

@@ -10,19 +10,18 @@ Each independent cell of an experiment reads one stream of its own,
 RngStream(master_seed, k), in order, so results are identical for any worker
 count.  The cells go to one `stats.map_replicates` call, so `workers` threads
 share them; the report is assembled in cell order after.  A cell and its key:
-  - output_dist, output_corr and max_weight: chunk i of up to 500 replicate
-    rows of the mi-th model (output_corr: of its wi-th width), key 1000 mi + i
-    (output_corr: 1000 mi + 10 wi + i);
+  - output_dist, output_corr, max_weight and truncation_error: chunk i of up
+    to 500 replicate rows of job k reads key 1000 k + i (`_map_chunks`), so
+    an experiment takes at most 1000 chunks, 500 000 replicates.  The job is
+    the mi-th model (output_corr: its wi-th width, k = mi len(widths) + wi;
+    truncation_error: the ai-th alpha);
   - compressibility: the k-th (model, width), key k, drawing its mass ratio,
     paired pruning error and E[Z^2] denominator in turn (with workers=1, so
     no pool runs inside a pool thread);
   - verify: the convergence checks of the mi-th model, key 5000 + mi.
-truncation_error fans out the chunks of one alpha at a time, chunk i of the
-ai-th alpha reading key 1000 ai + i: its thin-panel QR factors contend for
-the cores when its alphas run at once.  kernel_realizations draws serially
-(see its docstring).  `_check_keys` guards the strided keys of `_map_chunks`
-and truncation_error against overlap; they stay as they are because criteria
-01 and 02 run on them and a new key would re-roll both.
+truncation_error fans out the chunks of one alpha at a time: its thin-panel
+QR factors contend for the cores when its alphas run at once.
+kernel_realizations draws serially (see its docstring).
 
 A running cell holds one variance array (its rows' variances, built in
 place by the samplers; two for the generalized BFRY's product) plus blocks of
@@ -58,6 +57,8 @@ STANDARD_MODEL_NAMES = ("deterministic", "inverse_gamma", "beta", "horseshoe",
                         "generalized_bfry")
 
 _CHUNK = 500
+# chunk i of job k reads stream key _JOB_STRIDE k + i
+_JOB_STRIDE = 1000
 # squared normals per block in `_row_sums`
 _ROW_BLOCK = 1 << 16
 
@@ -98,30 +99,24 @@ def _map_cells(cells, workers):
     return stats.map_replicates(lambda k: cells[k](), len(cells), workers)
 
 
-def _check_keys(ranges, what):
-    """Raise a ValueError if two of the key ranges (start, count), each the
-    RngStream keys start, ..., start + count - 1 of one cell, overlap: the
-    cells would then read the same stream.  `what` names the count that
-    sets the ranges' length."""
-    ranges = sorted(ranges)
-    for (a, n), (b, _) in zip(ranges, ranges[1:]):
-        if a + n > b:
-            raise ValueError(f"{what} reach stream key {b}, which another "
-                             f"cell reads; use fewer")
-
-
 def _map_chunks(jobs, n, master_seed, workers):
-    """For each job (fn, stream_base), fn(rows, rng) over the replicate
-    chunks of n rows, chunk i reading RngStream(master_seed, stream_base + i),
+    """For each job (fn, k), fn(rows, rng) over the replicate chunks of n
+    rows, chunk i reading RngStream(master_seed, _JOB_STRIDE k + i),
     concatenated along the rows.  The chunks of every job are cells of one
-    fan-out; a ValueError is raised if two jobs would share a chunk stream."""
+    fan-out.  More than _JOB_STRIDE chunks would reach the next job's keys,
+    so they raise a ValueError before any draw."""
     sizes = _chunks(n)
-    _check_keys([(base, len(sizes)) for _, base in jobs], f"{n} replicates")
-    parts = _map_cells([partial(fn, rows, RngStream(master_seed, base + i))
-                        for fn, base in jobs for i, rows in enumerate(sizes)],
+    if len(sizes) > _JOB_STRIDE:
+        raise ValueError(f"{n} replicates make {len(sizes)} chunks per job: "
+                         f"chunk {_JOB_STRIDE} would read a stream which "
+                         f"another cell reads; use at most "
+                         f"{_JOB_STRIDE * _CHUNK}")
+    parts = _map_cells([partial(fn, rows,
+                                RngStream(master_seed, _JOB_STRIDE * k + i))
+                        for fn, k in jobs for i, rows in enumerate(sizes)],
                        workers)
-    k = len(sizes)
-    return [np.concatenate(parts[j * k:(j + 1) * k]) for j in range(len(jobs))]
+    c = len(sizes)
+    return [np.concatenate(parts[j * c:(j + 1) * c]) for j in range(len(jobs))]
 
 
 def _row_sums(gen, lam, active):
@@ -185,7 +180,7 @@ def output_dist(config, master_seed, replicates, workers):
     report = ExperimentReport("output_dist",
                               config={"width": width,
                                       "models": [name for name, _ in models]})
-    zs = _map_chunks([(partial(_output_chunk, model, width, 1), 1000 * mi)
+    zs = _map_chunks([(partial(_output_chunk, model, width, 1), mi)
                       for mi, (_, model) in enumerate(models)],
                      replicates, master_seed, workers)
     hist_rows, tail_rows = [], []
@@ -223,7 +218,7 @@ def output_corr(config, master_seed, replicates, workers):
                               config={"widths": widths,
                                       "models": [name for name, _ in models]})
     zs = iter(_map_chunks([(partial(_output_chunk, model, p, 2),
-                            1000 * mi + 10 * wi)
+                            mi * len(widths) + wi)
                            for mi, (_, model) in enumerate(models)
                            for wi, p in enumerate(widths)],
                           replicates, master_seed, workers))
@@ -240,14 +235,6 @@ def output_corr(config, master_seed, replicates, workers):
                     report.add_check(f"{name}/sq_corr_p2000", corr, 0.30, 0.08)
     report.add_table("correlation", ["model", "width", "sq_output_corr"], rows)
     return report
-
-
-def _max_weight_limit_cdf(m, xs):
-    """Limit CDF of the largest |weight| at the points xs: exp(-nubar(x^2))
-    with nubar the tail of the chi-square mixture of the variance measure,
-    evaluated at every point."""
-    mixed = levy.mix_with_chi2(m)
-    return np.exp(-levy.tail_intensity(mixed, np.asarray(xs, dtype=float) ** 2))
 
 
 def _max_abs_weight(model, p, rows, rng):
@@ -275,20 +262,23 @@ def max_weight(config, master_seed, replicates, workers):
     report = ExperimentReport("max_weight",
                               config={"widths": widths,
                                       "models": [name for name, _ in models]})
-    maxws = _map_chunks([(partial(_max_weight_chunk, model, widths), 1000 * mi)
+    maxws = _map_chunks([(partial(_max_weight_chunk, model, widths), mi)
                          for mi, (_, model) in enumerate(models)],
                         replicates, master_seed, workers)
     rows = []
     for (name, model), maxw in zip(models, maxws):
         # each column's minimum is among its listed points
         usable = not model.limit.measure.is_trivial and np.all(maxw > 0)
+        # the largest |weight|'s limit law: exp(-nubar(x^2)), nubar the tail
+        # of the variance measure's chi-square mixture
+        mixed = levy.mix_with_chi2(model.limit.measure) if usable else None
         for wi, p in enumerate(widths):
             col = np.sort(maxw[:, wi])
             report.add_estimate(f"{name}/median_max_weight_p{p}",
                                 float(np.median(col)), 0.0)
             ks = np.unique(np.linspace(0, col.size - 1, 200).astype(int))
             pts = col[ks]
-            limits = (_max_weight_limit_cdf(model.limit.measure, pts).tolist()
+            limits = (stats.order_stat_cdf(mixed, 1, pts ** 2).tolist()
                       if usable else [""] * pts.size)
             rows += [[name, p, float(x), (k + 1) / maxw.shape[0], lim]
                      for k, x, lim in zip(ks, pts, limits)]
@@ -297,6 +287,13 @@ def max_weight(config, master_seed, replicates, workers):
         ["model", "width", "max_abs_weight", "empirical_cdf", "limit_cdf"],
         rows)
     return report
+
+
+def _sweep_chunk(cfg, x, eps_grid, rows, rng):
+    """One chunk of truncation_error: the sums over its `rows` replicates of
+    the paired pruning error and of its square, shape (1, 2, eps)."""
+    m, se = pruning.epsilon_sweep_error(cfg, x, eps_grid, rows, rng)
+    return np.array([[rows * m, rows * (se ** 2 * rows + m ** 2)]])
 
 
 @stats.register_experiment("truncation_error")
@@ -317,22 +314,12 @@ def truncation_error(config, master_seed, replicates, workers):
     x = np.array([1.0])
     rows = []
     n = int(replicates)
-    sizes = _chunks(n)
-    _check_keys([(1000 * ai, len(sizes)) for ai in range(len(alphas))],
-                f"{n} replicates")
     for ai, alpha in enumerate(alphas):
         model = make_model("generalized_bfry", eta=eta, alpha=alpha, tau=tau)
         cfg = NetworkConfig(1, 1, [p] * depth, 1.0, 0.0, RELU, [model] * depth)
-
-        def one_chunk(i, cfg=cfg):
-            rows_i = sizes[i]
-            m, se = pruning.epsilon_sweep_error(
-                cfg, x, eps_grid, rows_i, RngStream(master_seed, 1000 * ai + i))
-            return rows_i * m, rows_i * (se ** 2 * rows_i + m ** 2)
-
-        parts = stats.map_replicates(one_chunk, len(sizes), workers)
-        mean = np.sum([a for a, _ in parts], axis=0) / n
-        second = np.sum([b for _, b in parts], axis=0) / n
+        (sums,) = _map_chunks([(partial(_sweep_chunk, cfg, x, eps_grid), ai)],
+                              n, master_seed, workers)
+        mean, second = sums.sum(axis=0) / n
         se = np.sqrt(np.maximum(second - mean ** 2, 0.0) / n)
         bound = np.array([pruning.epsilon_error_bound(cfg, x, e, alpha,
                                                       delta)[-1]

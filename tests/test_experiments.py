@@ -149,10 +149,10 @@ def test_experiments_deterministic():
 # _output_chunk: the conditional law over the active ReLU units
 # ---------------------------------------------------------------------------
 
-def _outputs(model, p, n, seed, base, workers, d_out=1):
+def _outputs(model, p, n, seed, job, workers, d_out=1):
     """n one-hidden-layer outputs, shape (n, d_out), chunk i by `_output_chunk`
-    from RngStream(seed, base + i)."""
-    return _map_chunks([(partial(_output_chunk, model, p, d_out), base)],
+    from RngStream(seed, 1000 job + i)."""
+    return _map_chunks([(partial(_output_chunk, model, p, d_out), job)],
                        n, seed, workers)[0]
 
 
@@ -215,10 +215,10 @@ class _CountingModel:
 
 def test_batched_outputs_draw_variances_only_for_active_units():
     model = _CountingModel(standard_models(["beta"])["beta"])
-    p, n, seed, base = 200, 1200, 26, 7
-    _outputs(model, p, n, seed, base, 1)
+    p, n, seed, job = 200, 1200, 26, 7
+    _outputs(model, p, n, seed, job, 1)
     # each chunk's first draw is its per-row count of active units
-    active = [int(RngStream(seed, base + i).generator
+    active = [int(RngStream(seed, 1000 * job + i).generator
                   .binomial(p, 0.5, size=rows).sum())
               for i, rows in enumerate((500, 500, 200))]
     assert model.requests == [p * -(-k // p) for k in active]
@@ -304,20 +304,22 @@ def test_output_dist_names_model_and_width_when_outputs_are_zero():
 
 
 @pytest.mark.parametrize("spec, replicates", [
-    # 5 500 replicates make 11 chunks per (model, width) cell, keys 10 wi + i,
-    # so width 0's chunk 10 would be width 1's chunk 0
+    # 500 001 replicates make 1 001 chunks per job: job 0's chunk 1 000 would
+    # read stream key 1 000, job 1's chunk 0
     ({"name": "output_corr", "widths": [10, 20],
-      "models": ["deterministic"]}, 5500),
+      "models": ["deterministic"]}, 500_001),
     ({"name": "output_dist", "width": 10,
       "models": ["deterministic", "inverse_gamma"]}, 500_001),
     ({"name": "max_weight", "widths": [10],
       "models": ["deterministic", "beta"]}, 500_001),
     ({"name": "truncation_error", "alphas": [0.5, 0.3]}, 500_001),
 ], ids=lambda v: v["name"] if isinstance(v, dict) else str(v))
-def test_experiments_refuse_to_share_a_stream(spec, replicates):
+def test_experiments_refuse_to_share_a_stream(monkeypatch, spec, replicates):
     # each check runs before the first draw
+    keys = _record_stream_keys(monkeypatch)
     with pytest.raises(ValueError, match="which another cell reads"):
         run_experiment(spec, 1, replicates)
+    assert keys == []
 
 
 @pytest.mark.parametrize("spec, replicates, shape", [
@@ -327,7 +329,11 @@ def test_experiments_refuse_to_share_a_stream(spec, replicates):
       "models": ["deterministic"]}, 2600, (2, 5)),
     ({"name": "kernel_realizations", "betas": [1.0, 2.0], "n_rho": 3}, 1001,
      (2 * 3, 3 + 1001)),
-], ids=["compressibility-2600", "kernel_realizations-1001"])
+    # past the 5 000 replicates at which width 0's chunk 10 used to read
+    # width 1's chunk 0
+    ({"name": "output_corr", "widths": [10, 20],
+      "models": ["deterministic"]}, 5500, (2, 3)),
+], ids=["compressibility-2600", "kernel_realizations-1001", "output_corr-5500"])
 def test_cells_take_any_replicate_count(spec, replicates, shape):
     (table,) = run_experiment(spec, 1, replicates).tables.values()
     assert (len(table["rows"]), len(table["columns"])) == shape
@@ -361,6 +367,22 @@ def test_cells_construct_distinct_streams(monkeypatch):
         check_id_conditions(standard_models([name])[name], [10, 20], [0.5],
                             [1.0], 10, RngStream(3, 5000 + mi), p_next=1)
     assert len(set(keys)) == len(keys), keys
+
+
+@pytest.mark.parametrize("spec, jobs", [
+    ({"name": "output_corr", "widths": [10, 20],
+      "models": ["deterministic", "beta"]}, 4),
+    ({"name": "truncation_error", "alphas": [0.5, 0.3], "width": 10,
+      "depth": 1, "eps_grid": [1e-3, 1e-2]}, 2),
+], ids=["output_corr", "truncation_error"])
+def test_chunk_i_of_job_k_reads_key_1000k_plus_i(monkeypatch, spec, jobs):
+    # 1 200 replicates are 3 chunks per job: (model, width) pairs models
+    # outer for output_corr, alphas for truncation_error
+    keys = _record_stream_keys(monkeypatch)
+    run_experiment(spec, 3, 1200)
+    assert len(set(keys)) == len(keys), keys
+    assert set(keys) == {(3, 1000 * k + i)
+                         for k in range(jobs) for i in range(3)}
 
 
 def test_a_model_without_its_parameters_is_named():
