@@ -344,7 +344,7 @@ def kernel_realizations(config, master_seed, replicates, workers):
     k n_draws + i).  The draws run serially in the calling thread,
     whatever `workers` says: on a 2-vCPU machine 2 replicate threads made
     them about 2x slower than 1, and the threads race to fill the measure's
-    lazy atom-floor and inverse-tail caches, so each is built twice."""
+    lazy truncation record, so it is built twice."""
     betas = [float(b) for b in config.get("betas", (1.0, 10.0, 1000.0))]
     n_rho = int(config.get("n_rho", 41))
     rhos = np.linspace(-1.0, 1.0, n_rho)

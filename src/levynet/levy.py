@@ -68,8 +68,8 @@ class MeasureDescriptor:
     x^{-alpha-1} dx, the horseshoe measure included, ("beta", eta, b) and
     ("atomic", atoms) for (location, mass) pairs.  Support (0, 0) marks the
     zero measure (the GP regime).
-    inverse_cache holds (u_max, tabulated inverse tail) and floor_cache the
-    default atom floor once computed; neither takes part in == or repr.
+    truncation_cache holds the last truncation, (atom_floor argument,
+    `_truncation` record); it takes no part in == or repr.
     """
 
     name: str = "measure"
@@ -82,8 +82,7 @@ class MeasureDescriptor:
     mean_below_fn: object = None      # eps -> int_0^eps x rho(dx)
     finite_sampler: object = None     # rng, size -> draws from rho/|rho| (finite measures)
     family: tuple = None              # ("stable", alpha, c), ("beta", eta, b), ("atomic", atoms)
-    inverse_cache: tuple = field(default=None, repr=False, compare=False)
-    floor_cache: float = field(default=None, repr=False, compare=False)
+    truncation_cache: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def is_trivial(self):
@@ -205,16 +204,6 @@ class _TabulatedInverse:
         lu = np.log(np.asarray(u, dtype=float))
         return np.exp(np.interp(lu, self._log_u, self._log_x,
                                 left=self._log_x[0], right=self._log_x[-1]))
-
-
-def _get_fast_inverse(m, u_max):
-    if m.inverse_tail_fn is not None:
-        return m.inverse_tail_fn
-    if m.inverse_cache is not None and m.inverse_cache[0] >= u_max:
-        return m.inverse_cache[1]
-    table = _TabulatedInverse(m, u_max * 1.0000001)
-    m.inverse_cache = (u_max, table)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -502,31 +491,17 @@ def scaled_stable_beta_measure(c):
     )
 
 
-def finite_measure(total_mass, survival, sampler=None, density=None,
-                   name="finite", params=None):
-    """A finite measure c*H given by its total mass and the survival function
-    of the normalized probability law H, plus an optional exact sampler.
-    Moments integrate x^k against the density, or k x^{k-1} against the
-    survival function when no density is given."""
+def finite_measure(total_mass, law, sampler, name="finite", params=None):
+    """A finite measure c*H given by its total mass c, the frozen scipy law H
+    (survival function, density and exact moments) and an exact sampler
+    sampler(rng, size) of H."""
     if total_mass <= 0:
         raise ValueError("total mass must be > 0")
-
-    def mom(k):
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = (k * x ** (k - 1) * survival(x) if density is None
-                     else x ** k * density(x))
-            # x^k overflows only at the far end of the quadrature, where H
-            # has no mass left: inf * 0 counts as 0 there
-            return np.nan_to_num(v, nan=0.0, posinf=math.inf)
-        return total_mass * _quad(f, 0.0, math.inf)
-
     return MeasureDescriptor(
         name=name, params=params or {},
-        tail_fn=lambda x: total_mass * np.asarray(survival(x), dtype=float),
-        density_fn=None if density is None else (lambda x: total_mass * density(x)),
-        moment_fn=mom,
+        tail_fn=lambda x: total_mass * np.asarray(law.sf(x), dtype=float),
+        density_fn=lambda x: total_mass * law.pdf(x),
+        moment_fn=lambda k: total_mass * law.moment(k),
         finite_sampler=sampler,
     )
 
@@ -716,20 +691,15 @@ def activation_transform(t, act):
 
 def default_atom_floor(m):
     """Default truncation threshold: 1e-8 relative to rhobar^{-1}(1), and 0
-    for a finite measure with an exact sampler.  Deterministic per measure,
-    so the (possibly bisection-backed) reference point is computed once and
-    cached on the descriptor."""
+    for a finite measure with an exact sampler."""
     if m.finite_sampler is not None:
         return 0.0
-    if m.floor_cache is not None:
-        return m.floor_cache
     mass = m.total_mass()
     u_ref = 1.0 if not math.isfinite(mass) or mass > 1.0 else 0.5 * mass
     ref = inverse_tail_intensity(m, u_ref)
     if ref <= 0:
         ref = m.support[1] if math.isfinite(m.support[1]) else 1.0
-    m.floor_cache = DEFAULT_FLOOR_REL * ref
-    return m.floor_cache
+    return DEFAULT_FLOOR_REL * ref
 
 
 # expected atoms per row block of `sample_id_batch`, to bound its memory
@@ -737,25 +707,39 @@ _BLOCK_ATOMS = 2 ** 16
 
 
 def _truncation(m, atom_floor):
-    """(floor, rhobar(floor), int_0^floor x rho(dx)) of the rows drawn for m:
-    (0, |rho|, 0) for a finite measure, whose rows are exact, and otherwise
-    the given floor, or the default one if None, which must be > 0."""
+    """The truncation of the rows drawn for m, the one place a floor is
+    chosen: (floor, rhobar(floor), int_0^floor x rho(dx), inverse) with
+    floor the given atom_floor, or `default_atom_floor` if None, which must
+    be > 0.  inverse is the closed-form inverse tail, or a table built for
+    u up to just past rhobar(floor).  A finite measure's rows are exact:
+    (0, |rho|, 0, None) whatever the floor.  The record depends on m and
+    atom_floor alone, and the last one is kept in m.truncation_cache."""
+    cached = m.truncation_cache  # read once: threads may replace it
+    if cached is not None and cached[0] == atom_floor:
+        return cached[1]
     if m.finite_sampler is not None:
-        return 0.0, m.total_mass(), 0.0
-    floor = default_atom_floor(m) if atom_floor is None else float(atom_floor)
-    if floor <= 0:
-        raise ValueError("atom_floor must be > 0 for infinite-activity measures")
-    return floor, float(tail_intensity(m, floor)), mean_mass_below(m, floor)
+        record = 0.0, m.total_mass(), 0.0, None
+    else:
+        floor = default_atom_floor(m) if atom_floor is None else float(atom_floor)
+        if floor <= 0:
+            raise ValueError("atom_floor must be > 0 for infinite-activity measures")
+        mass = float(tail_intensity(m, floor))
+        inverse = m.inverse_tail_fn or _TabulatedInverse(
+            m, (mass * (1 + 1e-9) + 1e-12) * 1.0000001)
+        record = floor, mass, mean_mass_below(m, floor), inverse
+    m.truncation_cache = (atom_floor, record)
+    return record
 
 
-def _rows(m, rng, n, mass):
+def _rows(m, rng, n, mass, inv):
     """n rows of the Poisson process with mean measure rho above a floor of
     mass = rhobar(floor), as an (n, width) array sorted decreasing along rows
     and padded with zeros, width the largest count (at least 1 if mass > 0).
     Given Poisson(mass) counts the atoms are iid: one call of a finite
-    measure's sampler, else rhobar^{-1}(mass U) for U uniform on (0, 1]
-    (Ferguson and Klass 1972; Rosinski 2001).  Their keys, -atom or U, are
-    sorted along rows before the map, so a tabulated inverse reads in order."""
+    measure's sampler, else inv(mass U), inv the inverse tail, for U uniform
+    on (0, 1] (Ferguson and Klass 1972; Rosinski 2001).  Their keys, -atom or
+    U, are sorted along rows before the map, so a tabulated inverse reads in
+    order."""
     counts = rng.generator.poisson(mass, size=n)
     total = int(counts.sum())
     hit = np.arange(max(int(counts.max()) if n else 0, int(mass > 0))) < counts[:, None]
@@ -764,7 +748,6 @@ def _rows(m, rng, n, mass):
         keyed[hit] = -np.asarray(m.finite_sampler(rng, total), dtype=float)
         to_atoms = np.negative
     else:
-        inv = _get_fast_inverse(m, mass * (1 + 1e-9) + 1e-12)
         keyed[hit] = 1.0 - rng.generator.random(total)
         to_atoms = lambda u: inv(np.multiply(u, mass, out=u))
     keyed.sort(axis=1)
@@ -785,8 +768,8 @@ def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
 
     Every measure's rows come from `_rows`, exact for a finite measure and by
     the inverse tail at sorted uniforms otherwise, J their largest count."""
-    floor, mass, below = _truncation(m, atom_floor)
-    return _rows(m, rng, n, mass), floor, below
+    floor, mass, below, inv = _truncation(m, atom_floor)
+    return _rows(m, rng, n, mass, inv), floor, below
 
 
 def sample_id_batch(t, rng, n, atom_floor=None, act=None):
@@ -796,12 +779,13 @@ def sample_id_batch(t, rng, n, atom_floor=None, act=None):
     with a positive homogeneous act the marks are phi(g_j)^2, g_j iid N(0, 1),
     and the law is the ID law of activation_transform(t, act), the one-input
     step of the infinite-width kernel.  The last term is the mean of the marked
-    atoms dropped below the floor (the default floor if None).
+    atoms dropped below the floor, which `_truncation` chooses: atom_floor, or
+    the measure's default if None.
 
     A stable(alpha, c) measure takes the exact positive-stable sampler at scale
     c E[|phi(Z)|^{2 alpha}]^{1/alpha}, whatever the floor.  Otherwise `_rows`
     draws blocks of about 2^16 expected atoms, each block's marks after its
-    atoms, with rhobar(floor) and the compensation found once a call."""
+    atoms, from the one truncation record that the measure keeps."""
     if act is not None and not act.homogeneous:
         raise ValueError("marked ID sums require a positive homogeneous activation")
     m, w = t.measure, 1.0 if act is None else act.c_phi
@@ -811,11 +795,11 @@ def sample_id_batch(t, rng, n, atom_floor=None, act=None):
         if act is not None:
             c = c * homogeneous_moment(act, alpha, 1.0) ** (1.0 / alpha)
         return t.location_a * w + np.atleast_1d(sample_positive_stable(alpha, c, rng, n))
-    _, mass, below = _truncation(m, atom_floor)
+    _, mass, below, inv = _truncation(m, atom_floor)
     rows = max(int(_BLOCK_ATOMS / max(mass, 1.0)), 1)
     out = np.empty(n)
     for s in range(0, n, rows):
-        atoms = _rows(m, rng, min(rows, n - s), mass)
+        atoms = _rows(m, rng, min(rows, n - s), mass, inv)
         if act is None:
             sums = atoms.sum(axis=1)
         else:

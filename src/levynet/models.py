@@ -84,8 +84,8 @@ def _make_slab(slab, c):
             mu + sigma * rng.generator.standard_normal(size))
     else:
         raise ValueError(f"unknown slab kind {kind!r}")
-    meas = levy.finite_measure(c, dist.sf, sampler=sampler, density=dist.pdf,
-                               name=f"{kind}_slab", params=dict(slab))
+    meas = levy.finite_measure(c, dist, sampler, name=f"{kind}_slab",
+                               params=dict(slab))
     return meas, sampler
 
 

@@ -328,26 +328,17 @@ def _factor_with_jitter(kmat):
 def _random_kernels(cfg, kmat, rng, factor=None):
     """K^{(1..L+1)} from K^{(1)} = kmat, layer by layer: one draw from an (n, n)
     kmat with exact factor F F^T = kmat, or a chain per entry of one input's
-    Sigma^{(1)} vector kmat."""
+    Sigma^{(1)} vector kmat.  `levy` truncates each layer's atoms at its
+    measure's default floor and compensates their mean."""
     gen, act, sv2 = rng.generator, cfg.activation, cfg.sigma_v ** 2
-    # bound of phi(z)^2 per unit Gaussian scale: c_lip^2 if homogeneous, else 1
-    c_env = max(act.c_lip ** 2, 1e-12) if act.homogeneous else 1.0
     out = [kmat]
     for model in cfg.variance_models:
         a, m = model.limit.location_a, model.limit.measure
-        # keep atoms adding over 1e-8 of the running trace; one input's Sigma
-        # vector reads as a 1 x n matrix whose diagonal is its first entry, so
-        # the ratio is 1 and every replicate gets the floor
-        # min(default, 1e-8 / (sigma_v^2 c_env)); a finite measure's default
-        # is 0 and its rows are exact whatever the floor
-        d = np.diag(np.atleast_2d(kmat))
-        floor = min(levy.default_atom_floor(m), 1e-8 * max(d.sum(), 1e-300)
-                    / (sv2 * max(d.max(), 1e-300) * c_env))
         if kmat.ndim == 1:  # homogeneous phi: phi(zeta)^2 = Sigma phi(g)^2
-            s = levy.sample_id_batch(model.limit, rng, kmat.size, floor, act)
+            s = levy.sample_id_batch(model.limit, rng, kmat.size, act=act)
             kmat = cfg.sigma_b ** 2 + sv2 * s * kmat
         else:
-            atoms, _, below = levy.sample_ppp_matrix(m, rng, floor)
+            atoms, _, below = levy.sample_ppp_matrix(m, rng)
             atoms = atoms[atoms > 0]
             if factor is None and (atoms.size or not act.homogeneous):
                 factor = _factor_with_jitter(kmat)
@@ -370,8 +361,8 @@ def sample_random_kernel(cfg, inputs, rng):
     drift term sigma_v^2 a E[phi(z) phi(z')|K] and an atom series
     sigma_v^2 sum_j lam_j phi(zeta_j(x)) phi(zeta_j(x')) with atoms from the
     layer's limiting measure and zeta_j ~ N(0, K^{(l)}).  The mean
-    int_0^floor x rho(dx) of the atoms dropped below the floor is folded
-    into the drift term.
+    int_0^floor x rho(dx) of the atoms dropped below the measure's default
+    floor is folded into the drift term.
 
     The marks are zeta = G F^T with G iid N(0, 1) of shape (atoms, rank) and
     F F^T = K^{(l)}.  At layer 1, F is the exact input factor

@@ -1,5 +1,5 @@
 """Special functions: complete elliptic integrals via the arithmetic-geometric
-mean, and incomplete gamma functions including negative parameters."""
+mean, and the upper incomplete gamma function, negative parameters included."""
 
 import math
 from dataclasses import dataclass
@@ -12,7 +12,6 @@ __all__ = [
     "elliptic_K",
     "elliptic_E",
     "upper_incomplete_gamma",
-    "lower_incomplete_gamma",
 ]
 
 _AGM_TOL = 1e-15
@@ -62,15 +61,6 @@ def elliptic_E(m):
     value = k * (1.0 - total)
     err = max(abs(a - b) / a * abs(value), 1e-15 * abs(value) + 1e-16)
     return SpecialFnResult(value, err)
-
-
-def lower_incomplete_gamma(s, x):
-    """gamma(s, x) = int_0^x t^{s-1} e^{-t} dt for s > 0, x >= 0."""
-    if np.any(np.asarray(s) <= 0):
-        raise ValueError("lower_incomplete_gamma requires s > 0")
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("lower_incomplete_gamma requires x >= 0")
-    return sp.gammainc(s, x) * sp.gamma(s)
 
 
 # Gamma(s, x) for s < 0 takes the continued fraction from this x on.  Against

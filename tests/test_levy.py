@@ -103,13 +103,6 @@ def test_moments_vs_quadrature(name):
         assert abs(val - oracle) < 1e-5 * max(1.0, oracle)
 
 
-def test_finite_measure_moments_without_density():
-    # a unit-rate exponential law of total mass 2: M_k = 2 k!
-    m = levy.finite_measure(2.0, lambda x: np.exp(-np.asarray(x, dtype=float)))
-    assert abs(moment(m, 1) - 2.0) < 1e-9
-    assert abs(moment(m, 3) - 12.0) < 1e-8
-
-
 def test_infinite_moments():
     assert moment(stable_measure(0.5, 1.0), 1) == math.inf
     assert moment(gg_pareto_measure(4.0, 0.5, 5.0), 5) == math.inf
@@ -205,7 +198,7 @@ def test_closed_form_inverse_matches_bisection(name):
 
 def test_tabulated_inverse_matches_bisection():
     m = gg_pareto_measure(4.0, 0.5, 5.0)  # no closed-form inverse
-    table = levy._get_fast_inverse(m, 1e4)
+    table = levy._TabulatedInverse(m, 1e4)
     us = np.geomspace(1e-10, 1e4, 40)
     exact = inverse_tail_intensity(m, us)
     assert np.max(np.abs(table(us) - exact) / exact) < 1e-4
@@ -539,8 +532,7 @@ def _padded_exponential_series(m, rng, n, floor):
     rows padded to ten standard deviations past the mean count, mapped to
     atoms rhobar^{-1}(G_k).  Returns each row's 1st, 2nd and 5th atoms (0
     where the row is shorter), its count and its sum."""
-    mass = tail_intensity(m, floor)
-    inv = levy._get_fast_inverse(m, mass * (1 + 1e-9) + 1e-12)
+    _, mass, _, inv = levy._truncation(m, floor)
     ncols = int(mass + 10.0 * math.sqrt(mass + 1.0) + 20.0)
     parts = []
     for k in range(0, n, 2000):

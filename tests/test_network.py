@@ -475,6 +475,61 @@ def test_kernel_layer1_draws_atoms_times_rank_normals(monkeypatch, n, d_in,
     assert rng.normals == atoms[0] * rank
 
 
+_TRUNCATED_MODELS = {
+    "generalized_bfry": ("generalized_bfry", {"eta": 4.0, "alpha": 0.5, "tau": 5.0}),
+    "beta_10_5": ("beta", {"eta": 10.0, "b": 5.0}),
+}
+# sigma_v = 5 and two inputs of very different norms: a configuration where
+# floors read off the kernel's trace would undercut the measure's own floor
+_WIDE_X = np.array([[1.0, 0.3], [0.02, 0.01]])
+
+
+def _wide_cfg(name):
+    model = make_model(_TRUNCATED_MODELS[name][0], **_TRUNCATED_MODELS[name][1])
+    return NetworkConfig(2, 1, [10] * 3, 5.0, 0.0, RELU, [model] * 3)
+
+
+@pytest.mark.parametrize("name", sorted(_TRUNCATED_MODELS))
+def test_kernel_draw_does_not_depend_on_earlier_draws(name):
+    fresh = sample_random_kernel(_wide_cfg(name), _WIDE_X, RngStream(7, 3))
+    cfg = _wide_cfg(name)
+    for k in range(100, 200):
+        sample_random_kernel(cfg, _WIDE_X, RngStream(7, k))
+    later = sample_random_kernel(cfg, _WIDE_X, RngStream(7, 3))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh, later))
+
+
+@pytest.mark.parametrize("name", sorted(_TRUNCATED_MODELS))
+def test_kernel_layers_truncate_at_the_default_floor(monkeypatch, name):
+    floors = []
+    sample_ppp_matrix = network.levy.sample_ppp_matrix
+
+    def recording(*args, **kwargs):
+        out = sample_ppp_matrix(*args, **kwargs)
+        floors.append(out[1])
+        return out
+
+    monkeypatch.setattr(network.levy, "sample_ppp_matrix", recording)
+    cfg = _wide_cfg(name)
+    sample_random_kernel(cfg, _WIDE_X, RngStream(7, 3))
+    expect = levy.default_atom_floor(cfg.variance_models[0].limit.measure)
+    assert floors == [expect] * 3
+
+
+def test_slab_moments_and_recursion_are_exact():
+    # c = 1.5 times the lognormal(-3, 0.01) law, whose narrow bump sits far
+    # from x = 1: M_k = c exp(k mu + k^2 sigma^2 / 2)
+    slab = make_model("spike_slab", c=1.5,
+                      slab={"kind": "lognormal", "mu": -3.0, "sigma": 0.01})
+    m1, m2 = (1.5 * math.exp(k * -3.0 + k * k * 0.01 ** 2 / 2.0) for k in (1, 2))
+    meas = slab.limit.measure
+    for got, exact in ((levy.moment(meas, 1), m1), (levy.moment(meas, 2), m2)):
+        assert abs(got - exact) <= 1e-12 * exact
+    out = variance_recursion(_cfg(slab, widths=(10, 10)), np.array([1.0]))
+    expect = [1.0, 0.5 * m1, 0.25 * m1 * m1]
+    assert np.all(np.abs(out - expect) <= 1e-12 * np.array(expect))
+
+
 def test_kernel_diag_matches_sigma_chain_law():
     # n = 1 input: the kernel diagonal, drawn by marking the beta measure,
     # and the single-input Sigma chain through the ID law of the activation
