@@ -24,8 +24,8 @@ from .network import (NetworkConfig, NetworkRealization, forward,
                       sample_random_kernel,
                       simulate_limit_single_input, stable_case_scale,
                       variance_recursion)
-from .pruning import (PruningRule, compressibility_ratio, epsilon_error_bound,
-                      epsilon_sweep_error, paired_pruning_error, prune)
+from .pruning import (compressibility_ratio, epsilon_error_bound,
+                      epsilon_sweep_error, kappa_keep, paired_pruning_error)
 from .reporting import Check, Estimate, ExperimentReport
 from .rng import RngStream, sample_positive_stable
 from .stats import (ks_distance, order_stat_cdf, run_experiment,
@@ -48,8 +48,8 @@ __all__ = [
     "sample_lambdas", "sample_network",
     "sample_random_kernel", "simulate_limit_single_input",
     "stable_case_scale", "variance_recursion",
-    "PruningRule", "compressibility_ratio", "epsilon_error_bound",
-    "epsilon_sweep_error", "paired_pruning_error", "prune",
+    "compressibility_ratio", "epsilon_error_bound", "epsilon_sweep_error",
+    "kappa_keep", "paired_pruning_error",
     "Check", "Estimate", "ExperimentReport",
     "RngStream", "sample_positive_stable",
     "ks_distance", "order_stat_cdf", "run_experiment",

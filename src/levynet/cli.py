@@ -176,21 +176,26 @@ def main(argv=None):
             if value is not None:
                 return value
 
-    seed = setting("seed", None)
+    def integer(key, default):
+        # a config value gets the same check as the flag; a bool is refused
+        value = setting(key, default)
+        if value is not None and type(value) is not int:
+            parser.error(f"argument --{key}: invalid int value: {value!r}")
+        return value
+
+    seed = integer("seed", None)
     if seed is None:
         raise SystemExit("a master seed is required (--seed or config)")
-    replicates = setting("replicates", DEFAULT_REPLICATES[args.command])
-    workers = int(setting("workers", 1))
+    replicates = integer("replicates", DEFAULT_REPLICATES[args.command])
+    workers = integer("workers", 1)
     out_dir = setting("out", ".")
     fmt = setting("format", "csv")
     if fmt not in FORMATS:
-        # a config value gets the same check as the flag
         parser.error(f"argument --format: invalid choice: {fmt!r} "
                      f"(choose from {', '.join(map(repr, FORMATS))})")
     config["name"] = args.command
 
-    report = run_experiment(config, int(seed), int(replicates),
-                            worker_count=workers)
+    report = run_experiment(config, seed, replicates, worker_count=workers)
     files = _write_report(report, out_dir, fmt)
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"

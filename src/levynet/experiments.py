@@ -390,14 +390,14 @@ _GP_RATIO_LIMITS = {
 
 def _compressibility_cell(model, p, kappa, n, rng):
     """One (model, width) cell of compressibility: (the mean kappa mass ratio
-    of n variance draws, the paired kappa-pruning error of the output, that
-    error over E[Z^2] from at least 200 output draws), drawn from rng in that
-    order."""
+    of n variance draws, the paired error of the output when the hidden layer
+    is pruned by `pruning.kappa_keep`, that error over E[Z^2] from at least
+    200 output draws), drawn from rng in that order."""
     ratio = float(np.mean([pruning.compressibility_ratio(row, kappa)
                            for row in model.sample(p, rng, p_next=1, n=n)]))
     cfg = NetworkConfig(1, 1, [p], 1.0, 0.0, RELU, [model])
-    rule = pruning.PruningRule("kappa", kappa=kappa)
-    err, _ = pruning.paired_pruning_error(cfg, np.array([1.0]), rule, n, rng)
+    keep = partial(pruning.kappa_keep, kappa=kappa)
+    err, _ = pruning.paired_pruning_error(cfg, np.array([1.0]), keep, n, rng)
     z = np.concatenate([_output_chunk(model, p, 1, rows, rng)
                         for rows in _chunks(max(n, 200))])
     z2 = np.mean(z[:, 0] ** 2)

@@ -186,6 +186,22 @@ def test_config_format_is_checked_like_the_flag(tmp_path, capsys):
     assert not any(name.startswith("out_") for name in os.listdir(tmp_path))
 
 
+def test_config_integers_are_checked_like_the_flags(tmp_path, capsys):
+    # a config value that is not a JSON integer is refused, not truncated
+    out = tmp_path / "out"
+    for key, value in (("seed", 0.9), ("replicates", 200.7),
+                       ("workers", "2"), ("seed", True)):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seed": 0, key: value}))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--config", str(cfg_file), "--out", str(out)])
+        assert err.value.code == 2
+        assert (f"argument --{key}: invalid int value: {value!r}"
+                in capsys.readouterr().err)
+    # nothing was run or written
+    assert not out.exists()
+
+
 def test_missing_seed_rejected(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--out", str(tmp_path / "x")])

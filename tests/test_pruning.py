@@ -1,6 +1,7 @@
-"""Pruning rules, paired pruning error, and the analytic epsilon bound."""
+"""Keep masks, paired pruning error, and the analytic epsilon bound."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from levynet.activations import RELU
 from levynet.models import make_model
 from levynet.network import NetworkConfig, forward, sample_network
-from levynet.pruning import (PruningRule, compressibility_ratio,
-                             epsilon_error_bound, epsilon_sweep_error,
-                             paired_pruning_error, prune)
+from levynet.pruning import (compressibility_ratio, epsilon_error_bound,
+                             epsilon_sweep_error, kappa_keep,
+                             paired_pruning_error)
 from levynet.rng import RngStream
 
 
@@ -19,85 +20,49 @@ def _cfg(model, widths=(50,), sigma_b=0.0):
                          [model] * len(widths))
 
 
-def test_rule_validation():
-    with pytest.raises(ValueError):
-        PruningRule("epsilon")
-    with pytest.raises(ValueError):
-        PruningRule("epsilon", eps=-1.0)
-    with pytest.raises(ValueError):
-        PruningRule("kappa", kappa=0.0)
-    with pytest.raises(ValueError):
-        PruningRule("kappa", kappa=1.0)
-    with pytest.raises(ValueError):
-        PruningRule("largest", kappa=0.5)
-    PruningRule("epsilon", eps=0.0)
-    PruningRule("outgoing_norm_kappa", kappa=0.3)
-
-
-def test_epsilon_rule_masks_small_variances():
+def test_pruning_zeroes_the_unkept_variances():
+    # one replicate's paired error is exactly the gap between the realisation
+    # and its copy with the unkept variances zeroed, in every layer
     beta = make_model("beta", eta=1.0, b=0.5)
-    cfg = _cfg(beta)
+    cfg = _cfg(beta, widths=(30, 30), sigma_b=0.1)
+    x = np.array([1.5])
     real = sample_network(cfg, RngStream(70, 0))
-    eps = float(np.median(real.lambdas[1]))
-    pruned = prune(real, cfg, PruningRule("epsilon", eps=eps))
-    lam = real.lambdas[1]
-    assert np.array_equal(pruned.lambdas[1], np.where(lam > eps, lam, 0.0))
-    # eps = 0 keeps everything (all variances are positive)
-    same = prune(real, cfg, PruningRule("epsilon", eps=0.0))
-    assert np.array_equal(same.lambdas[1], lam)
+    eps = float(np.median(np.concatenate(real.lambdas[1:])))
+    zeroed = [real.lambdas[0]] + [np.where(lam > eps, lam, 0.0)
+                                  for lam in real.lambdas[1:]]
+    assert all(0 < np.count_nonzero(lam) < lam.size for lam in zeroed[1:])
+    gaps = [np.mean((z - zstar) ** 2) for z, zstar in zip(
+        forward(real, cfg, x), forward(replace(real, lambdas=zeroed), cfg, x))]
+    mean, se = paired_pruning_error(cfg, x, lambda lam: lam > eps, 1,
+                                    RngStream(70, 0))
+    assert np.array_equal(mean, gaps) and np.all(se == 0.0)
+    assert gaps[0] == 0.0 and np.all(mean[1:] > 0.0)
 
 
 def test_kappa_rule_tie_semantics():
     # a layer of identical variances is tied at the threshold and is pruned
     # entirely under the strict comparison
-    det = make_model("deterministic", c1=1.0)
-    cfg = _cfg(det, widths=(10,))
-    real = sample_network(cfg, RngStream(71, 0))
-    pruned = prune(real, cfg, PruningRule("kappa", kappa=0.5))
-    assert np.all(pruned.lambdas[1] == 0.0)
+    assert not kappa_keep(np.full(10, 0.1), 0.5).any()
 
 
 def test_kappa_rule_keeps_top_fraction():
     beta = make_model("beta", eta=1.0, b=0.5)
     cfg = _cfg(beta, widths=(40,))
-    real = sample_network(cfg, RngStream(72, 0))
-    pruned = prune(real, cfg, PruningRule("kappa", kappa=0.25))
-    kept = pruned.lambdas[1] > 0
+    lam = sample_network(cfg, RngStream(72, 0)).lambdas[1]
+    kept = kappa_keep(lam, 0.25)
     # nodes strictly above the floor(0.25 * 40) = 10th largest survive
     assert kept.sum() == 9
-    order = np.argsort(real.lambdas[1])
+    order = np.argsort(lam)
     assert not kept[order[:31]].any() and kept[order[31:]].all()
 
 
-def test_kappa_rule_warns_when_threshold_index_is_zero():
-    det = make_model("deterministic", c1=1.0)
-    cfg = _cfg(det, widths=(3,))
-    real = sample_network(cfg, RngStream(73, 0))
-    with pytest.warns(UserWarning):
-        pruned = prune(real, cfg, PruningRule("kappa", kappa=0.1))
-    assert np.array_equal(pruned.lambdas[1], real.lambdas[1])
-
-
-def test_outgoing_norm_rule_ranking():
-    det = make_model("deterministic", c1=1.0)
-    cfg = _cfg(det, widths=(20,))
-    real = sample_network(cfg, RngStream(74, 0))
-    pruned = prune(real, cfg, PruningRule("outgoing_norm_kappa", kappa=0.5))
-    scores = real.lambdas[1] * (real.V[1] ** 2).sum(axis=1)
-    order = np.argsort(scores)
-    kept = pruned.lambdas[1] > 0
-    # the 9 nodes strictly above the 10th-largest score survive
-    assert not kept[order[:11]].any() and kept[order[11:]].all()
-
-
-def test_prune_preserves_unpruned_forward_pass():
-    beta = make_model("beta", eta=1.0, b=0.5)
-    cfg = _cfg(beta, widths=(30, 30), sigma_b=0.1)
-    real = sample_network(cfg, RngStream(75, 0))
-    pruned = prune(real, cfg, PruningRule("epsilon", eps=0.0))
-    x = np.array([1.5])
-    for z, zp in zip(forward(real, cfg, x), forward(pruned, cfg, x)):
-        assert np.allclose(z, zp)
+def test_kappa_keep_domain_errors():
+    for kappa in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            kappa_keep(np.ones(10), kappa)
+    # floor(0.1 * 3) = 0: no threshold to prune at
+    with pytest.raises(ValueError):
+        kappa_keep(np.ones(3), 0.1)
 
 
 def test_compressibility_ratio_exact_examples():
@@ -116,18 +81,19 @@ def test_compressibility_ratio_exact_examples():
         compressibility_ratio([1.0, 2.0], 1.5)
     with pytest.raises(ValueError):
         compressibility_ratio([1.0, 2.0, 3.0], 0.2)
+    # an all-zero vector is validated like any other
+    with pytest.raises(ValueError):
+        compressibility_ratio(np.zeros(1), 0.5)
 
 
 def test_paired_error_zero_when_nothing_pruned():
     beta = make_model("beta", eta=1.0, b=0.5)
     cfg = _cfg(beta, widths=(20,))
-    mean, se = paired_pruning_error(cfg, np.array([1.0]),
-                                    PruningRule("epsilon", eps=0.0),
+    mean, se = paired_pruning_error(cfg, np.array([1.0]), lambda lam: lam > 0,
                                     20, RngStream(76, 0))
     assert mean.shape == (2,) and np.all(mean == 0.0) and np.all(se == 0.0)
     with pytest.raises(ValueError):
-        paired_pruning_error(cfg, np.array([1.0]),
-                             PruningRule("epsilon", eps=0.0), 0,
+        paired_pruning_error(cfg, np.array([1.0]), lambda lam: lam > 0, 0,
                              RngStream(76, 0))
 
 
@@ -144,7 +110,7 @@ def test_epsilon_sweep_matches_paired_error_in_law():
                                                RngStream(77, 0))
     for i, eps in enumerate(eps_grid):
         pair_mean, pair_se = paired_pruning_error(
-            cfg, x, PruningRule("epsilon", eps=eps), reps,
+            cfg, x, lambda lam: lam > eps, reps,
             RngStream(77, 1 + i))
         z = abs(sweep_mean[i] - pair_mean[-1]) / math.hypot(sweep_se[i],
                                                            pair_se[-1])
@@ -181,8 +147,8 @@ def test_epsilon_bound_dominates_monte_carlo_error():
     eps = 1e-4
     bounds = epsilon_error_bound(cfg, x, eps, 0.5, 0.25)
     assert bounds.shape == (2,) and np.all(bounds > 0)
-    mean, se = paired_pruning_error(cfg, x, PruningRule("epsilon", eps=eps),
-                                    100, RngStream(79, 0))
+    mean, se = paired_pruning_error(cfg, x, lambda lam: lam > eps, 100,
+                                    RngStream(79, 0))
     # mean[l-1] estimates the hidden-layer-l error; compare layers 1..L
     assert np.all(mean[:2] - 3 * se[:2] < bounds)
 
