@@ -43,11 +43,11 @@ import numpy as np
 from scipy import special as sp
 
 from . import kernels, levy, pruning, stats
-from .activations import RELU
+from .activations import LINEAR, RELU
 from .models import make_model, model_from_spec
 from .network import NetworkConfig, sample_random_kernel
 from .reporting import ExperimentReport
-from .rng import RngStream
+from .rng import RngStream, _marked_sums
 
 __all__ = ["standard_models", "STANDARD_MODEL_NAMES"]
 
@@ -59,8 +59,6 @@ STANDARD_MODEL_NAMES = ("deterministic", "inverse_gamma", "beta", "horseshoe",
 _CHUNK = 500
 # chunk i of job k reads stream key _JOB_STRIDE k + i
 _JOB_STRIDE = 1000
-# squared normals per block in `_row_sums`
-_ROW_BLOCK = 1 << 16
 
 
 def standard_models(names=None):
@@ -119,30 +117,6 @@ def _map_chunks(jobs, n, master_seed, workers):
     return [np.concatenate(parts[j * c:(j + 1) * c]) for j in range(len(jobs))]
 
 
-def _row_sums(gen, lam, active):
-    """S_r = sum over the active units of row r of lambda chi-square(1): the
-    units' variances are consecutive in lam, and their squared normals are
-    drawn in blocks of whole rows, at most _ROW_BLOCK of them unless one row
-    alone is longer.  Each row is summed by one np.bincount, in draw order,
-    so S does not depend on the block size; a row with no active unit
-    gets 0.  (np.add.reduceat would sum pairwise, moving S in its last bits,
-    and mishandles empty rows.)"""
-    rows = active.size
-    step = max(1, _ROW_BLOCK // max(1, int(active.max(initial=0))))
-    s = np.empty(rows)
-    pos = 0
-    for r in range(0, rows, step):
-        counts = active[r:r + step]
-        stop = pos + int(counts.sum())
-        chi2 = gen.standard_normal(stop - pos)
-        chi2 **= 2
-        chi2 *= lam[pos:stop]
-        s[r:r + step] = np.bincount(np.repeat(np.arange(counts.size), counts),
-                                    weights=chi2, minlength=counts.size)
-        pos = stop
-    return s
-
-
 def _output_chunk(model, p, d_out, rows, rng):
     """`rows` draws of the width-p one-hidden-layer ReLU outputs for a unit
     input, shape (rows, d_out), from their conditional law over the active
@@ -156,16 +130,16 @@ def _output_chunk(model, p, d_out, rows, rng):
       1. K ~ Binomial(p, 1/2) active units per row;
       2. ceil(sum K / p) rows of mu_p (the entries are iid), flattened and
          cut to sum K variances;
-      3. sum K standard normals, squared (`_row_sums`);
-      4. the per-row sums S (0 for a row with K = 0);
-      5. Z = sqrt(S) times a (rows, d_out) block of standard normals.
+      3. S, each row's variances times squared normals, summed: sum K
+         normals, the linear marks of `rng._marked_sums` (0 if K = 0);
+      4. Z = sqrt(S) times a (rows, d_out) block of standard normals.
     That is about p/2 variances and p/2 + d_out normals per row, against p
     and p (1 + d_out) for the weights themselves."""
     gen = rng.generator
     active = gen.binomial(p, 0.5, size=rows)
     total = int(active.sum())
     lam = model.sample(p, rng, p_next=d_out, n=-(-total // p)).ravel()[:total]
-    s = _row_sums(gen, lam, active)
+    s = _marked_sums(gen, lam, active, LINEAR)
     return np.sqrt(s)[:, None] * gen.standard_normal((rows, d_out))
 
 

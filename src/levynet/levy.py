@@ -20,7 +20,7 @@ from scipy import special as sp
 
 from .activations import ActivationKind
 from .kernels import homogeneous_moment
-from .rng import sample_positive_stable
+from .rng import _BLOCK, _marked_sums, sample_positive_stable
 from .special import upper_incomplete_gamma
 
 __all__ = [
@@ -702,10 +702,6 @@ def default_atom_floor(m):
     return DEFAULT_FLOOR_REL * ref
 
 
-# expected atoms per row block of `sample_id_batch`, to bound its memory
-_BLOCK_ATOMS = 2 ** 16
-
-
 def _truncation(m, atom_floor):
     """The truncation of the rows drawn for m, the one place a floor is
     chosen: (floor, rhobar(floor), int_0^floor x rho(dx), inverse) with
@@ -784,8 +780,9 @@ def sample_id_batch(t, rng, n, atom_floor=None, act=None):
 
     A stable(alpha, c) measure takes the exact positive-stable sampler at scale
     c E[|phi(Z)|^{2 alpha}]^{1/alpha}, whatever the floor.  Otherwise `_rows`
-    draws blocks of about 2^16 expected atoms, each block's marks after its
-    atoms, from the one truncation record that the measure keeps."""
+    draws blocks of about rng._BLOCK expected atoms from the one truncation
+    record that the measure keeps, and `rng._marked_sums` marks each block's
+    atoms after them."""
     if act is not None and not act.homogeneous:
         raise ValueError("marked ID sums require a positive homogeneous activation")
     m, w = t.measure, 1.0 if act is None else act.c_phi
@@ -796,7 +793,7 @@ def sample_id_batch(t, rng, n, atom_floor=None, act=None):
             c = c * homogeneous_moment(act, alpha, 1.0) ** (1.0 / alpha)
         return t.location_a * w + np.atleast_1d(sample_positive_stable(alpha, c, rng, n))
     _, mass, below, inv = _truncation(m, atom_floor)
-    rows = max(int(_BLOCK_ATOMS / max(mass, 1.0)), 1)
+    rows = max(int(_BLOCK / max(mass, 1.0)), 1)
     out = np.empty(n)
     for s in range(0, n, rows):
         atoms = _rows(m, rng, min(rows, n - s), mass, inv)
@@ -804,8 +801,6 @@ def sample_id_batch(t, rng, n, atom_floor=None, act=None):
             sums = atoms.sum(axis=1)
         else:
             hit = atoms > 0.0
-            phi2 = act(rng.generator.standard_normal(np.count_nonzero(hit))) ** 2
-            row = np.repeat(np.arange(len(atoms)), hit.sum(axis=1))
-            sums = np.bincount(row, atoms[hit] * phi2, minlength=len(atoms))
+            sums = _marked_sums(rng.generator, atoms[hit], hit.sum(1), act)
         out[s:s + rows] = below * w + sums
     return t.location_a * w + out

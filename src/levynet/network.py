@@ -198,7 +198,7 @@ def forward_law(cfg, lambdas, x, rng, keep=None):
     A = [sigma_v H diag(sqrt(lambda^{(l-1)})) | sigma_b 1] and G iid N(0, 1):
     its p_l columns are iid N(0, A A^T).  The factor L = R^T comes from a QR
     of the transpose of A's distinct rows, A_k^T = Q R, so L L^T = A_k A_k^T
-    with no Gram matrix and no jitter, exactly also for collinear rows.  Each
+    with no Gram matrix, exactly also for collinear rows.  Each
     layer draws one standard_normal((rank, p_l)) block, and rows that are
     bitwise equal get bit-identical outputs.
 
@@ -310,26 +310,26 @@ def _cond_phi_outer(kmat, act, gen, factor=None):
     return denom * kap / (2.0 * math.pi)
 
 
-def _factor_with_jitter(kmat):
-    """Lower-triangular factor of a PSD kernel matrix, escalating a relative
-    diagonal jitter from 1e-12 to 1e-8 before giving up."""
-    scale = max(float(np.trace(kmat)) / max(kmat.shape[0], 1), 1e-300)
-    jitter = 1e-12
-    while jitter <= 1e-8:
-        try:
-            return np.linalg.cholesky(kmat + jitter * scale * np.eye(kmat.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise np.linalg.LinAlgError(
-        "kernel matrix is not positive semi-definite within the 1e-8 relative "
-        "jitter tolerance; the intermediate kernel is numerically invalid")
+def _psd_factor(kmat):
+    """F = V_r diag(sqrt(w_r)) with F F^T = kmat, from the eigenpairs (w, V)
+    of the symmetric kmat, keeping the r eigenvalues above n eps max(w)
+    (numpy's matrix_rank tolerance): marks cost rank(kmat) normals per atom.
+    An eigenvalue below -1e-8 max(w) raises LinAlgError: kmat is not PSD."""
+    w, v = np.linalg.eigh(kmat)
+    top = max(float(w[-1]), 0.0)
+    if w[0] < -1e-8 * top:
+        raise np.linalg.LinAlgError(f"kernel matrix is not PSD: eigenvalue "
+                                    f"{w[0]:.3g} against a largest {top:.3g}")
+    keep = w > kmat.shape[0] * np.finfo(float).eps * top
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def _random_kernels(cfg, kmat, rng, factor=None):
     """K^{(1..L+1)} from K^{(1)} = kmat, layer by layer: one draw from an (n, n)
     kmat with exact factor F F^T = kmat, or a chain per entry of one input's
-    Sigma^{(1)} vector kmat.  `levy` truncates each layer's atoms at its
-    measure's default floor and compensates their mean."""
+    Sigma^{(1)} vector kmat.  A layer below the first that needs marks
+    factors its kernel by `_psd_factor`.  `levy` truncates each layer's atoms
+    at its measure's default floor and compensates their mean."""
     gen, act, sv2 = rng.generator, cfg.activation, cfg.sigma_v ** 2
     out = [kmat]
     for model in cfg.variance_models:
@@ -341,7 +341,7 @@ def _random_kernels(cfg, kmat, rng, factor=None):
             atoms, _, below = levy.sample_ppp_matrix(m, rng)
             atoms = atoms[atoms > 0]
             if factor is None and (atoms.size or not act.homogeneous):
-                factor = _factor_with_jitter(kmat)
+                factor = _psd_factor(kmat)
             cond = _cond_phi_outer(kmat, act, gen, factor)
             nxt = cfg.sigma_b ** 2 + sv2 * (a + below) * cond
             if atoms.size:
@@ -364,14 +364,13 @@ def sample_random_kernel(cfg, inputs, rng):
     int_0^floor x rho(dx) of the atoms dropped below the measure's default
     floor is folded into the drift term.
 
-    The marks are zeta = G F^T with G iid N(0, 1) of shape (atoms, rank) and
-    F F^T = K^{(l)}.  At layer 1, F is the exact input factor
+    The marks are zeta = G F^T with G iid N(0, 1) of shape (atoms, r) and
+    F F^T = K^{(l)}, F of r columns.  At layer 1, F is the exact input factor
     [sigma_v x / sqrt(d_in) | sigma_b 1], reduced to n columns by a thin QR
-    (F = R^T from F^T = Q R) only when it has more; so the marks cost rank
-    normals per atom and need no jitter, also for duplicate or collinear
-    inputs.  Deeper kernels are only known as matrices, and there F is their
-    Cholesky factor with the escalating relative jitter of
-    `_factor_with_jitter`.
+    (F = R^T from F^T = Q R) only when it has more: exact also for duplicate
+    or collinear inputs, at any relative scale.  Deeper kernels are only
+    known as matrices, and there F is their eigen-factor `_psd_factor`, of
+    r = rank(K^{(l)}) columns.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     n = x.shape[0]

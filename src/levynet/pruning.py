@@ -17,6 +17,7 @@ matrices.  Both average one replicate's squared gaps in `_mean_and_se`.
 """
 
 import math
+import numbers
 from dataclasses import replace
 
 import numpy as np
@@ -48,11 +49,12 @@ def kappa_keep(values, kappa):
 
 def _mean_and_se(draw_gaps, replicates):
     """(mean, standard error) of the gap arrays returned by `replicates`
-    calls of draw_gaps()."""
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    calls of draw_gaps(); replicates must be an integer >= 1."""
+    if isinstance(replicates, bool) or not (
+            isinstance(replicates, numbers.Integral) and replicates >= 1):
+        raise ValueError(f"replicates must be an integer >= 1, got {replicates!r}")
     acc = acc2 = 0.0
-    for _ in range(int(replicates)):
+    for _ in range(replicates):
         gaps = draw_gaps()
         acc = acc + gaps
         acc2 = acc2 + gaps ** 2

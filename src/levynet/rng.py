@@ -69,9 +69,32 @@ _BLOCK = 1 << 16
 
 def _blocks(a):
     """Consecutive views, in C order, of at most _BLOCK entries each that
-    together cover the contiguous array a."""
+    together cover the contiguous array a; `_marked_sums` blocks its normals
+    by the same size, in whole rows."""
     flat = a.reshape(-1)
     return (flat[start:start + _BLOCK] for start in range(0, flat.size, _BLOCK))
+
+
+def _marked_sums(gen, weights, counts, act):
+    """Marked sums S_r = sum_{j in row r} w_j act(g_j)^2, g iid N(0, 1) from
+    gen, row r holding the next counts[r] weights w.  The normals are drawn
+    in blocks of whole rows, at most _BLOCK unless one row is longer, and
+    each row is summed by one np.bincount in draw order, so S does not
+    depend on the block size; an empty row gets 0.  (np.add.reduceat would
+    sum pairwise, moving S in its last bits, and mishandles empty rows.)"""
+    step = max(1, _BLOCK // max(1, int(counts.max(initial=0))))
+    s = np.empty(counts.size)
+    pos = 0
+    for r in range(0, counts.size, step):
+        rows = counts[r:r + step]
+        stop = pos + int(rows.sum())
+        marks = act(gen.standard_normal(stop - pos))
+        marks **= 2
+        marks *= weights[pos:stop]
+        s[r:r + step] = np.bincount(np.repeat(np.arange(rows.size), rows),
+                                    weights=marks, minlength=rows.size)
+        pos = stop
+    return s
 
 
 def _positive(name, value):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy import stats as st
 
-from levynet import experiments
 from levynet.experiments import (STANDARD_MODEL_NAMES, _map_chunks,
                                  _max_weight_chunk, _output_chunk,
                                  standard_models)
@@ -245,7 +244,7 @@ def _one_pass_chunk(model, p, rows, rng, d_out):
     (8000, 200, 1 << 16),  # the compressibility denominator's shape
 ])
 def test_blocked_row_sums_match_one_pass(monkeypatch, p, rows, block):
-    monkeypatch.setattr(experiments, "_ROW_BLOCK", block)
+    monkeypatch.setattr("levynet.rng._BLOCK", block)
     model = standard_models(["beta"])["beta"]
     got = _output_chunk(model, p, 2, rows, RngStream(51, 3))
     ref = _one_pass_chunk(model, p, rows, RngStream(51, 3), 2)

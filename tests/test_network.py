@@ -12,9 +12,9 @@ from levynet.activations import (RELU, TANH, ActivationKind,
                                  activation_from_name, leaky_relu)
 from levynet.levy import LevyTriple, atomic_measure
 from levynet.models import make_model
-from levynet.network import (NetworkConfig, _cond_phi_outer, forward,
-                             forward_law, sample_lambdas, sample_network,
-                             sample_random_kernel,
+from levynet.network import (NetworkConfig, _cond_phi_outer, _psd_factor,
+                             forward, forward_law, sample_lambdas,
+                             sample_network, sample_random_kernel,
                              simulate_limit_single_input, stable_case_scale,
                              variance_recursion)
 from levynet.rng import RngStream
@@ -426,37 +426,49 @@ def _atom_limit(a, loc, mass):
     return _Model()
 
 
-@pytest.mark.parametrize("x, sigma_b", [
+_DUPLICATE_COLLINEAR_X = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0],
+                                   [2.0, 4.0, 6.0], [0.5, -1.0, 2.0],
+                                   [-0.5, 1.0, -2.0]])
+
+
+@pytest.mark.parametrize("x, sigma_b, depth", [
     # duplicate and collinear rows, bias; factor [x / sqrt(3) | 0.4] is 5 x 4
-    (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [2.0, 4.0, 6.0],
-               [0.5, -1.0, 2.0], [-0.5, 1.0, -2.0]]), 0.4),
+    (_DUPLICATE_COLLINEAR_X, 0.4, 1),
     # d_in + 1 > n: the 2 x 4 factor is compressed by a thin QR
-    (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]), 0.4),
+    (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]), 0.4, 1),
     (np.array([[1.0, -2.0, 0.5, 0.0, 3.0, 1.0],
                [2.0, -4.0, 1.0, 0.0, 6.0, 2.0],
-               [0.0, 1.0, 1.0, 1.0, 0.0, 0.0]]), 0.0),
+               [0.0, 1.0, 1.0, 1.0, 0.0, 0.0]]), 0.0, 1),
+    # layer 2 marks the rank-3 K^{(2)} through its eigen-factor
+    (_DUPLICATE_COLLINEAR_X, 0.4, 2),
 ])
-def test_kernel_layer1_marks_have_exact_input_covariance(x, sigma_b):
+def test_kernel_layer1_marks_have_exact_input_covariance(x, sigma_b, depth):
     # a linear layer whose atoms all sit at loc adds sigma_v^2 loc
-    # zeta^T zeta to K^{(2)}; the marks' (atoms, rank) normal block has
+    # zeta^T zeta to K^{(l+1)}; the marks' (atoms, rank) normal block has
     # orthonormal columns (about 40 atoms, rank <= 4), so zeta^T zeta is the
-    # covariance of the marks, and it must be K^{(1)} exactly
+    # covariance of the marks, and it must be K^{(l)} exactly
     a, loc = 0.3, 0.7
     d_in = x.shape[1]
-    cfg = NetworkConfig(d_in, 1, [1], 1.3, sigma_b,
+    cfg = NetworkConfig(d_in, 1, [1] * depth, 1.3, sigma_b,
                         activation_from_name("linear"),
-                        [_atom_limit(a, loc, 40.0)])
-    k1, k2 = sample_random_kernel(cfg, x, _OrthonormalBlocks())
+                        [_atom_limit(a, loc, 40.0)] * depth)
+    ks = sample_random_kernel(cfg, x, _OrthonormalBlocks())
     expect1 = sigma_b ** 2 + 1.3 ** 2 * x @ x.T / d_in
-    assert np.allclose(k1, expect1, rtol=1e-12, atol=1e-12)
+    assert np.allclose(ks[0], expect1, rtol=1e-12, atol=1e-12)
     expect2 = sigma_b ** 2 + 1.3 ** 2 * (a + loc) * expect1
-    assert np.allclose(k2, expect2, rtol=1e-12, atol=1e-12)
+    assert np.allclose(ks[1], expect2, rtol=1e-12, atol=1e-12)
+    if depth == 2:
+        expect3 = sigma_b ** 2 + 1.3 ** 2 * (a + loc) * ks[1]
+        assert np.max(np.abs(ks[2] - expect3)) <= 1e-14 * np.max(np.abs(ks[2]))
 
 
-@pytest.mark.parametrize("n, d_in, sigma_b, rank", [
-    (5, 2, 0.3, 3), (2, 4, 0.3, 2), (6, 3, 0.0, 3)])
+@pytest.mark.parametrize("n, d_in, sigma_b, ranks", [
+    (5, 2, 0.3, [3]), (2, 4, 0.3, [2]), (6, 3, 0.0, [3]),
+    # depth 2 on 4 inputs, the last a copy of the first: K^{(2)} has rank 3,
+    # so its eigen-factor marks each atom of layer 2 with 3 normals, not 4
+    (4, 2, 0.3, [3, 3])])
 def test_kernel_layer1_draws_atoms_times_rank_normals(monkeypatch, n, d_in,
-                                                      sigma_b, rank):
+                                                      sigma_b, ranks):
     atoms = []
     sample_ppp_matrix = network.levy.sample_ppp_matrix
 
@@ -467,12 +479,17 @@ def test_kernel_layer1_draws_atoms_times_rank_normals(monkeypatch, n, d_in,
 
     monkeypatch.setattr(network.levy, "sample_ppp_matrix", recording)
     beta = make_model("beta", eta=2.0, b=0.5)
-    cfg = NetworkConfig(d_in, 1, [1], 1.0, sigma_b, RELU, [beta])
+    depth = len(ranks)
+    cfg = NetworkConfig(d_in, 1, [1] * depth, 1.0, sigma_b, RELU,
+                        [beta] * depth)
     x = np.random.default_rng(n).standard_normal((n, d_in))
+    if depth > 1:
+        x[-1] = x[0]
     rng = _CountingNormals(RngStream(64, n))
-    sample_random_kernel(cfg, x, rng)
-    assert atoms[0] > 10
-    assert rng.normals == atoms[0] * rank
+    ks = sample_random_kernel(cfg, x, rng)
+    assert min(atoms) > 10
+    assert [np.linalg.matrix_rank(k) for k in ks[:depth]] == ranks
+    assert rng.normals == sum(k * r for k, r in zip(atoms, ranks))
 
 
 _TRUNCATED_MODELS = {
@@ -551,25 +568,55 @@ def test_kernel_diag_matches_sigma_chain_law():
     assert float(np.max(np.abs(f1 - f2))) < 1.95 * math.sqrt(2.0 / n)
 
 
-def test_kernel_conditional_moments_beta_model():
-    # given K^{(1)}, the next-layer off-diagonal entry has the closed
-    # conditional mean and variance of the finite-moment measure
-    beta_par = 10.0
-    model = make_model("beta", eta=beta_par, b=beta_par / 2.0)
-    cfg = NetworkConfig(2, 1, [1], 1.0, 0.0, RELU, [model])
+def _assert_offdiag_conditional_moments(cfg, seed):
+    # over 4000 draws at two unit inputs at rho = 1/2: K^{(L)} is the same on
+    # every draw, and given it K^{(L+1)}[0, 1] has the closed conditional
+    # mean and variance of the last layer's finite-moment measure
     rho = 0.5
     r = math.sqrt(2.0)
     inputs = np.vstack([[r, 0.0], [r * rho, r * math.sqrt(1 - rho ** 2)]])
     n = 4000
-    vals = np.array([sample_random_kernel(cfg, inputs,
-                                          RngStream(59, i))[1][0, 1]
-                     for i in range(n)])
-    k1 = inputs @ inputs.T / 2.0
-    mean, var = kernels.kernel_cond_stats(k1, model.limit, 1.0, 0.0)
+    draws = [sample_random_kernel(cfg, inputs, RngStream(seed, i))
+             for i in range(n)]
+    k_prev = draws[0][-2]
+    assert all(np.array_equal(ks[-2], k_prev) for ks in draws)
+    vals = np.array([ks[-1][0, 1] for ks in draws])
+    mean, var = kernels.kernel_cond_stats(
+        k_prev, cfg.variance_models[-1].limit, cfg.sigma_v, cfg.sigma_b)
     se_mean = vals.std() / math.sqrt(n)
     assert abs(vals.mean() - mean) < 4 * se_mean
     se_var = np.std((vals - vals.mean()) ** 2) / math.sqrt(n)
     assert abs(vals.var() - var) < 4 * se_var
+
+
+def test_kernel_conditional_moments_beta_model():
+    # given K^{(1)}, the next-layer off-diagonal entry has the closed
+    # conditional mean and variance of the finite-moment measure
+    model = make_model("beta", eta=10.0, b=5.0)
+    _assert_offdiag_conditional_moments(
+        NetworkConfig(2, 1, [1], 1.0, 0.0, RELU, [model]), 59)
+
+
+def test_kernel_conditional_moments_below_a_gp_layer():
+    # a deterministic first layer fixes K^{(2)}; the eigen-factored beta
+    # layer below it must give K^{(3)} the same conditional moments
+    det = make_model("deterministic", c1=1.0)
+    beta = make_model("beta", eta=10.0, b=5.0)
+    _assert_offdiag_conditional_moments(
+        NetworkConfig(2, 1, [1, 1], 1.0, 0.0, RELU, [det, beta]), 65)
+
+
+def test_psd_factor_keeps_the_rank_and_refuses_negative_kernels():
+    q = np.linalg.qr(np.random.default_rng(66).standard_normal((4, 4)))[0]
+    with pytest.raises(np.linalg.LinAlgError):
+        _psd_factor((q * [-1e-6, 0.3, 0.5, 1.0]) @ q.T)
+    assert _psd_factor((q * [-1e-12, 0.3, 0.5, 1.0]) @ q.T).shape == (4, 3)
+    # an integer factor with a repeated row: K = A A^T is exact, of rank 2
+    a = np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 2.0], [2.0, 0.0], [0.0, 1.0]])
+    k = a @ a.T
+    f = _psd_factor(k)
+    assert f.shape == (5, 2)
+    assert np.max(np.abs(f @ f.T - k)) <= 1e-14 * np.max(np.abs(k))
 
 
 def test_kernel_input_validation():

@@ -129,6 +129,19 @@ def test_epsilon_sweep_zero_gap_when_nothing_pruned():
         epsilon_sweep_error(cfg, np.array([1.0]), [0.0], 0, RngStream(80, 0))
 
 
+def test_estimators_refuse_a_count_that_is_not_an_integer():
+    # a fractional count would average int(2.5) = 2 replicates over 2.5, and
+    # True would pass for one replicate
+    cfg = _cfg(make_model("beta", eta=1.0, b=0.5), widths=(20,))
+    x = np.array([1.0])
+    for replicates in (2.5, True):
+        with pytest.raises(ValueError):
+            paired_pruning_error(cfg, x, lambda lam: lam > 0.01, replicates,
+                                 RngStream(82, 0))
+        with pytest.raises(ValueError):
+            epsilon_sweep_error(cfg, x, [0.01], replicates, RngStream(82, 0))
+
+
 def test_epsilon_sweep_monotone_in_eps():
     beta = make_model("beta", eta=1.0, b=0.5)
     cfg = _cfg(beta, widths=(50,))
