@@ -52,9 +52,12 @@ from .rng import RngStream, _marked_sums
 __all__ = ["standard_models", "STANDARD_MODEL_NAMES"]
 
 # canonical parameter choices for the simulation studies: unit limiting mean
-# E[sum_j lambda_j] where it exists, and the half-Cauchy-squared horseshoe
+# E[sum_j lambda_j] where it exists, and the half-Cauchy-squared horseshoe;
+# a model not listed takes make_model's defaults
 STANDARD_MODEL_NAMES = ("deterministic", "inverse_gamma", "beta", "horseshoe",
                         "generalized_bfry")
+_STANDARD_PARAMS = {"beta": {"eta": 1.0, "b": 0.5}, "horseshoe": {"c": 1.0},
+                    "generalized_bfry": {"eta": 4.0, "alpha": 0.5, "tau": 5.0}}
 
 _CHUNK = 500
 # chunk i of job k reads stream key _JOB_STRIDE k + i
@@ -62,26 +65,12 @@ _JOB_STRIDE = 1000
 
 
 def standard_models(names=None):
-    names = names or STANDARD_MODEL_NAMES
-    out = {}
-    for name in names:
-        if isinstance(name, dict):
-            model = model_from_spec(name)
-            out[model.name] = model
-        elif name == "deterministic":
-            out[name] = make_model("deterministic", c1=1.0)
-        elif name == "inverse_gamma":
-            out[name] = make_model("inverse_gamma")
-        elif name == "beta":
-            out[name] = make_model("beta", eta=1.0, b=0.5)
-        elif name == "horseshoe":
-            out[name] = make_model("horseshoe", c=1.0)
-        elif name == "generalized_bfry":
-            out[name] = make_model("generalized_bfry", eta=4.0, alpha=0.5,
-                                   tau=5.0)
-        else:
-            out[name] = make_model(name)
-    return out
+    """{name: model} of the named models, each a name (built with its
+    canonical parameters) or a {"name", "params"} spec."""
+    models = (model_from_spec(name) if isinstance(name, dict)
+              else make_model(name, **_STANDARD_PARAMS.get(name, {}))
+              for name in names or STANDARD_MODEL_NAMES)
+    return {model.name: model for model in models}
 
 
 def _chunks(n):

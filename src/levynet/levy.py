@@ -18,9 +18,9 @@ from numpy.polynomial import laguerre
 from scipy import integrate
 from scipy import special as sp
 
-from .activations import ActivationKind
+from .activations import LINEAR, ActivationKind
 from .kernels import homogeneous_moment
-from .rng import _BLOCK, _marked_sums, sample_positive_stable
+from .rng import _BLOCK, _marked_sums, sample_gamma, sample_positive_stable
 from .special import upper_incomplete_gamma
 
 __all__ = [
@@ -63,9 +63,10 @@ class MeasureDescriptor:
 
     A measure with a finite_sampler is finite and drawn exactly as
     compound-Poisson rows; one without is drawn by the truncated series.
-    family keys the closed forms of the chi-square mixture, the activation
-    transform and the ID sampler: ("stable", alpha, c) for alpha c^alpha
-    x^{-alpha-1} dx, the horseshoe measure included, ("beta", eta, b) and
+    family keys the closed forms of the activation transform (the chi-square
+    mixture is its linear case) and the ID sampler: ("stable", alpha, c) for
+    alpha c^alpha x^{-alpha-1} dx, the horseshoe measure included,
+    ("gamma", eta, rate) for eta x^{-1} e^{-rate x} dx, ("beta", eta, b) and
     ("atomic", atoms) for (location, mass) pairs.  Support (0, 0) marks the
     zero measure (the GP regime).
     truncation_cache holds the last truncation, (atom_floor argument,
@@ -81,7 +82,7 @@ class MeasureDescriptor:
     moment_fn: object = None          # k -> M_k (may return inf)
     mean_below_fn: object = None      # eps -> int_0^eps x rho(dx)
     finite_sampler: object = None     # rng, size -> draws from rho/|rho| (finite measures)
-    family: tuple = None              # ("stable", alpha, c), ("beta", eta, b), ("atomic", atoms)
+    family: tuple = None              # ("stable" | "gamma" | "beta" | "atomic", *params)
     truncation_cache: tuple = field(default=None, repr=False, compare=False)
 
     @property
@@ -277,7 +278,8 @@ def horseshoe_measure(c):
 
 
 def gamma_measure(eta, rate):
-    """rho(dx) = eta x^{-1} e^{-rate x} dx; ID(0, rho) = Gamma(eta, rate)."""
+    """rho(dx) = eta x^{-1} e^{-rate x} dx; ID(0, rho) = Gamma(eta, rate),
+    which `sample_id_batch` draws exactly."""
     if eta <= 0 or rate <= 0:
         raise ValueError("gamma measure needs eta > 0, rate > 0")
 
@@ -291,6 +293,7 @@ def gamma_measure(eta, rate):
         / np.asarray(x, dtype=float),
         moment_fn=mom,
         mean_below_fn=lambda e: eta * (-math.expm1(-rate * e)) / rate,
+        family=("gamma", eta, rate),
     )
 
 
@@ -562,11 +565,6 @@ def mean_mass_below(m, eps):
 # transforms
 # ---------------------------------------------------------------------------
 
-def _chi2_moment(order):
-    # E[(Z^2)^order] for standard normal Z
-    return 2.0**order * math.gamma(order + 0.5) / math.sqrt(math.pi)
-
-
 # Fixed nodes of the chi-square mixture rule: z = z0(x) + e^t on the uniform
 # grid t = -70, -69.8, ..., 4.6 (374 nodes, step 0.2).  As rhobar(x/z) grows
 # with z and chi2_1(z) <= z^{-1/2} / sqrt(2 pi), cutting t below -70 drops at
@@ -597,63 +595,58 @@ def _chi2_mix_rule(base_tail, hi, x):
     return out.reshape(x.shape)
 
 
+def _chi2_mix(m):
+    """The chi-square mixture nu, nubar(x) = int_0^inf rhobar(x/z) chi2_1(z) dz,
+    of a measure that is neither zero nor stable, with moments
+    M_k(nu) = E[Z^{2k}] M_k(rho).  An atomic rho maps to a finite sum of
+    scaled chi-square tails.  Otherwise nubar is a fixed-node quadrature:
+    with hi the right end of rho's support, z = z0 + e^t with z0 = x/hi (0
+    for unbounded support), so the kink of rhobar(x/z) at z = z0 sits at
+    t = -inf and an endpoint factor (1 - r)^b decays like e^{b t}; the
+    integrand then decays exponentially in t at both ends and the trapezoid
+    rule on a uniform t-grid converges geometrically in 1/step (the exp-sinh
+    idea of Takahasi and Mori, 1974).  The grid is 374 nodes, t in
+    [-70, 4.6] with step 0.2, shared by all x, and each block of 64 points
+    costs one vectorised call of rho's tail on a (64, 374) array.  Measured
+    against the closed form mix(beta(eta, 1/2)) = 2 gamma(eta/2, 1/2) on x
+    in [1e-3, 30], the tail agrees to 1.5e-14 relative.  Against a step-0.05
+    rule on t in [-110, ln 500], for x in [1e-10, 100], it agrees to 1e-13
+    relative for gamma, gg_pareto, scaled stable beta and beta measures with
+    b in {0.3, 1/2, 1, 1.5, 2, 2.7, 3, 5, 7.3}."""
+    tag, *args = m.family or (None,)
+    if tag == "atomic":
+        tail = lambda x: sum(w * _chi2_sf(np.asarray(x, dtype=float) / loc)
+                             for loc, w in args[0])
+    else:
+        base_tail, hi = m.tail_fn, m.support[1]
+        tail = lambda x: _chi2_mix_rule(base_tail, hi, x)
+    return MeasureDescriptor(
+        name=f"chi2mix({m.name})", params={"base": m.params},
+        support=(0.0, math.inf), tail_fn=tail,
+        moment_fn=lambda k: moment(m, k) * homogeneous_moment(LINEAR, k, 1.0))
+
+
 def mix_with_chi2(m):
     """The measure nu with nubar(x) = int_0^inf rhobar(x/z) chi2_1(z) dz — the
     Levy measure of the sum of squared weights when the node variances have
-    Levy measure rho.
-
-    Stable (and horseshoe) measures map to stable measures in closed form and
-    atomic ones to finite sums of scaled chi-square laws.  Otherwise nubar is a
-    fixed-node quadrature: with hi the right end of rho's support,
-    z = z0 + e^t with z0 = x/hi (0 for unbounded support), so the kink of
-    rhobar(x/z) at z = z0 sits at t = -inf and an endpoint factor (1 - r)^b
-    decays like e^{b t}; the integrand then decays exponentially in t at both
-    ends and the trapezoid rule on a uniform t-grid converges geometrically
-    in 1/step (the exp-sinh idea of Takahasi and Mori, 1974).  The grid is
-    374 nodes, t in [-70, 4.6] with step 0.2, shared by all x, and each
-    block of 64 points costs one vectorised call of rho's tail on a
-    (64, 374) array.  Measured against the closed form mix(beta(eta, 1/2)) =
-    2 gamma(eta/2, 1/2) on x in [1e-3, 30], the tail agrees to 1.5e-14
-    relative.  Against a step-0.05 rule on t in [-110, ln 500], for x in
-    [1e-10, 100], it agrees to 1e-13 relative for gamma, gg_pareto, scaled
-    stable beta and beta measures with b in {0.3, 1/2, 1, 1.5, 2, 2.7, 3, 5,
-    7.3}."""
-    if m.is_trivial:
-        return trivial_measure()
-    tag, *args = m.family or (None,)
-    if tag == "stable":
-        a, c = args
-        return stable_measure(a, c * _chi2_moment(a) ** (1.0 / a))
-    if tag == "atomic":
-        return MeasureDescriptor(
-            name=f"chi2mix({m.name})",
-            params={"base": m.params}, support=(0.0, math.inf),
-            tail_fn=lambda x: sum(w * _chi2_sf(np.asarray(x, dtype=float) / loc)
-                                  for loc, w in args[0]),
-            moment_fn=lambda k: moment(m, k) * _chi2_moment(k),
-        )
-
-    base_tail, hi = m.tail_fn, m.support[1]
-    return MeasureDescriptor(
-        name=f"chi2mix({m.name})", params={"base": m.params},
-        support=(0.0, math.inf),
-        tail_fn=lambda x: _chi2_mix_rule(base_tail, hi, x),
-        moment_fn=lambda k: moment(m, k) * _chi2_moment(k),
-    )
+    Levy measure rho: `activation_transform`'s image of (0, rho) under the
+    linear phi."""
+    return activation_transform(LevyTriple(0.0, m), LINEAR)[1]
 
 
 def activation_transform(t, act):
     """Map a layer's (a, rho) to the (c, eta) driving the next layer's
-    single-input recursion (the reference for the marked limit samplers):
+    single-input recursion, the one place a measure is mapped through phi:
     c = a * E[phi(Z)^2] and etabar(x) = int_{phi(z) != 0} rhobar(x / phi(z)^2) phi_N(z) dz.
 
     A homogeneous phi(u) = p u_+ + q u_- (p = phi(1), q = phi(-1)) gives
     c = a (p^2 + q^2) / 2 and etabar(x) = (nubar(x / p^2) + nubar(x / q^2)) / 2
-    with nu the chi-square mixture of rho: nu itself for the linear phi, one
-    term of weight 1 when p^2 = q^2, and a zero slope drops its term.  A
-    stable(alpha, s) rho maps to stable(alpha, s w^{1/alpha}) with
-    w = E|phi(Z)|^{2 alpha}, and ReLU maps beta(eta, 1/2) to the
-    gamma(eta/2, rate 1/2) measure.
+    with nu the chi-square mixture of rho (`_chi2_mix`): nu itself for the
+    linear phi, one term of weight 1 when p^2 = q^2, and a zero slope drops
+    its term.  A stable(alpha, s) rho maps to stable(alpha, s w^{1/alpha})
+    with w = E|phi(Z)|^{2 alpha}, and ReLU maps beta(eta, 1/2) to the
+    gamma(eta/2, rate 1/2) measure; `sample_id_batch` draws those two images
+    exactly.
     """
     if not isinstance(act, ActivationKind) or not act.homogeneous:
         raise ValueError("activation transform requires a positive homogeneous activation")
@@ -670,7 +663,7 @@ def activation_transform(t, act):
         return c, stable_measure(alpha, s * w ** (1.0 / alpha))
     if tag == "beta" and args[1] == 0.5 and (p, q) == (1.0, 0.0):
         return c, gamma_measure(args[0] / 2.0, 0.5)
-    nu = mix_with_chi2(m)
+    nu = _chi2_mix(m)
     if p2 == q2 == 1.0:
         return c, nu
     w = 1.0 if p2 == q2 else 0.5
@@ -768,6 +761,9 @@ def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
     return _rows(m, rng, n, mass, inv), floor, below
 
 
+_EXACT_ID = {"stable": sample_positive_stable, "gamma": sample_gamma}  # f(*params, rng, size)
+
+
 def sample_id_batch(t, rng, n, atom_floor=None, act=None):
     """n draws of a E[mark] + sum_j lam_j mark_j + E[mark] int_0^floor x rho(dx)
     over the atoms lam_j > floor of the Poisson process with mean measure rho,
@@ -778,20 +774,18 @@ def sample_id_batch(t, rng, n, atom_floor=None, act=None):
     atoms dropped below the floor, which `_truncation` chooses: atom_floor, or
     the measure's default if None.
 
-    A stable(alpha, c) measure takes the exact positive-stable sampler at scale
-    c E[|phi(Z)|^{2 alpha}]^{1/alpha}, whatever the floor.  Otherwise `_rows`
-    draws blocks of about rng._BLOCK expected atoms from the one truncation
+    The image (c, eta), (a, rho) itself when act is None, is drawn exactly,
+    whatever the floor, when eta is stable or gamma.  Otherwise `_rows` draws
+    blocks of about rng._BLOCK expected atoms of rho from the one truncation
     record that the measure keeps, and `rng._marked_sums` marks each block's
     atoms after them."""
     if act is not None and not act.homogeneous:
         raise ValueError("marked ID sums require a positive homogeneous activation")
+    loc, image = (t.location_a, t.measure) if act is None else activation_transform(t, act)
+    tag, *params = image.family or (None,)
+    if tag in _EXACT_ID:
+        return loc + np.atleast_1d(_EXACT_ID[tag](*params, rng, n))
     m, w = t.measure, 1.0 if act is None else act.c_phi
-    tag, *args = m.family or (None,)
-    if tag == "stable":
-        alpha, c = args
-        if act is not None:
-            c = c * homogeneous_moment(act, alpha, 1.0) ** (1.0 / alpha)
-        return t.location_a * w + np.atleast_1d(sample_positive_stable(alpha, c, rng, n))
     _, mass, below, inv = _truncation(m, atom_floor)
     rows = max(int(_BLOCK / max(mass, 1.0)), 1)
     out = np.empty(n)
@@ -803,4 +797,4 @@ def sample_id_batch(t, rng, n, atom_floor=None, act=None):
             hit = atoms > 0.0
             sums = _marked_sums(rng.generator, atoms[hit], hit.sum(1), act)
         out[s:s + rows] = below * w + sums
-    return t.location_a * w + out
+    return loc + out

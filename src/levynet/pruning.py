@@ -17,7 +17,6 @@ matrices.  Both average one replicate's squared gaps in `_mean_and_se`.
 """
 
 import math
-import numbers
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from . import levy
 from .network import (forward, forward_law, sample_lambdas, sample_network,
                       variance_recursion)
+from .rng import _integer
 
 __all__ = [
     "kappa_keep",
@@ -50,8 +50,7 @@ def kappa_keep(values, kappa):
 def _mean_and_se(draw_gaps, replicates):
     """(mean, standard error) of the gap arrays returned by `replicates`
     calls of draw_gaps(); replicates must be an integer >= 1."""
-    if isinstance(replicates, bool) or not (
-            isinstance(replicates, numbers.Integral) and replicates >= 1):
+    if _integer("replicates", replicates) < 1:
         raise ValueError(f"replicates must be an integer >= 1, got {replicates!r}")
     acc = acc2 = 0.0
     for _ in range(replicates):

@@ -12,6 +12,7 @@ own samplers, the parameters must then broadcast to ``size``.  A scalar draw
 """
 
 import math
+import numbers
 
 import numpy as np
 from scipy import special as sp
@@ -32,6 +33,14 @@ __all__ = [
 ]
 
 
+def _integer(label, value):
+    """int(value) for an integer other than a bool, numpy integers included;
+    anything else raises a ValueError naming label."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return int(value)
+
+
 class RngStream:
     """A reproducible random stream keyed by (master_seed, stream_index).
 
@@ -42,12 +51,12 @@ class RngStream:
     """
 
     def __init__(self, master_seed, stream_index=0):
-        if not (0 <= int(master_seed) < 2**64):
+        self.master_seed = _integer("master_seed", master_seed)
+        self.stream_index = _integer("stream_index", stream_index)
+        if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in 64 bits")
-        if not (0 <= int(stream_index) < 2**64):
+        if not 0 <= self.stream_index < 2**64:
             raise ValueError("stream_index must fit in 64 bits")
-        self.master_seed = int(master_seed)
-        self.stream_index = int(stream_index)
         self._generator = None
 
     @property

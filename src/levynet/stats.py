@@ -13,6 +13,7 @@ import numpy as np
 
 from . import levy
 from .reporting import Check, Estimate, ExperimentReport
+from .rng import _integer
 
 __all__ = [
     "ks_distance",
@@ -110,7 +111,9 @@ def experiment_names():
 def run_experiment(spec, master_seed, replicates, worker_count=1):
     """Dispatch a registered experiment.  spec is either a name or a dict with
     a "name" key plus configuration; the result is deterministic in
-    (spec, master_seed, replicates) whatever worker_count is."""
+    (spec, master_seed, replicates) whatever worker_count is.  Every
+    experiment echoes the configuration keys it reads in its report's config,
+    and a key it did not read raises a ValueError."""
     from . import experiments  # noqa: F401  (populates the registry)
 
     if isinstance(spec, str):
@@ -119,11 +122,16 @@ def run_experiment(spec, master_seed, replicates, worker_count=1):
     if name not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"known: {', '.join(experiment_names())}")
-    if int(replicates) < 1:
-        raise ValueError(f"replicates must be >= 1, got {int(replicates)}")
+    master_seed = _integer("master_seed", master_seed)
+    replicates = _integer("replicates", replicates)
+    worker_count = _integer("worker_count", worker_count)
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     config = {k: v for k, v in spec.items() if k != "name"}
-    report = _EXPERIMENTS[name](config, int(master_seed), int(replicates),
-                                int(worker_count))
-    report.master_seed = int(master_seed)
-    report.replicate_count = int(replicates)
+    report = _EXPERIMENTS[name](config, master_seed, replicates, worker_count)
+    unread = sorted(set(config) - set(report.config))
+    if unread:
+        raise ValueError(f"{name} does not read the config key(s) {unread}")
+    report.master_seed = master_seed
+    report.replicate_count = replicates
     return report

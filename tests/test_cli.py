@@ -202,6 +202,20 @@ def test_config_integers_are_checked_like_the_flags(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_key_the_experiment_does_not_read_is_refused(tmp_path):
+    # a misspelt key used to be dropped: the run exited 0 and its manifest
+    # config left the key out
+    out = tmp_path / "out"
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"betas": [1.0], "n_rho": 3,
+                                    "widht": 500}))
+    with pytest.raises(ValueError, match=r"\['widht'\]"):
+        cli.main(["kernel_realizations", "--seed", "0", "--replicates", "2",
+                  "--config", str(cfg_file), "--out", str(out)])
+    # nothing was written
+    assert not out.exists()
+
+
 def test_missing_seed_rejected(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--out", str(tmp_path / "x")])

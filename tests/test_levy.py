@@ -24,7 +24,7 @@ from levynet.levy import (LevyTriple, atomic_measure, beta_measure,
                           stable_measure, tail_intensity, trivial_measure,
                           activation_transform)
 from levynet.models import make_model
-from levynet.rng import RngStream, sample_positive_stable
+from levynet.rng import RngStream, sample_gamma, sample_positive_stable
 from levynet.stats import ks_distance
 
 
@@ -395,14 +395,19 @@ def test_activation_transform_relu_beta_half_closed_form():
     assert np.allclose(tail_intensity(eta, xs), generic, rtol=1e-6, atol=1e-9)
 
 
-def test_activation_transform_linear_and_leaky():
-    t = LevyTriple(1.5, gamma_measure(1.0, 1.0))
+@pytest.mark.parametrize("m", [
+    gamma_measure(1.0, 1.0), atomic_measure([(0.5, 1.0), (2.0, 3.0)]),
+    trivial_measure(), stable_measure(0.7, 1.3), horseshoe_measure(1.0),
+    beta_measure(1.0, 0.5), gg_pareto_measure(4.0, 0.5, 5.0),
+], ids=lambda m: m.name)
+def test_activation_transform_linear_and_leaky(m):
+    t = LevyTriple(1.5, m)
     c_lin, m_lin = activation_transform(t, LINEAR)
     assert c_lin == 1.5
     beta = 0.5
     c_leaky, m_leaky = activation_transform(t, leaky_relu(beta))
     assert abs(c_leaky - 1.5 * (1 + beta ** 2) / 2.0) < 1e-12
-    nu = mix_with_chi2(gamma_measure(1.0, 1.0))
+    nu = mix_with_chi2(m)
     xs = np.geomspace(0.1, 3.0, 5)
     expect = 0.5 * (tail_intensity(nu, xs)
                     + tail_intensity(nu, xs / beta ** 2))
@@ -709,12 +714,29 @@ def test_sample_id_trivial_and_atomic():
 
 
 def test_sample_id_gamma_measure_exact_law():
-    # ID(0, eta x^{-1} e^{-rate x} dx) is Gamma(eta, rate); truncation is
-    # compensated by the small-atom mean, so the default floor is accurate
+    # ID(0, eta x^{-1} e^{-rate x} dx) is Gamma(eta, rate), drawn exactly;
+    # the truncated series is compensated by the small-atom mean, so its row
+    # sums plus that mean at the default floor have the same law
     t = LevyTriple(0.0, gamma_measure(2.0, 1.5))
-    draws = sample_id_batch(t, RngStream(42, 0), 20_000)
+    n = 20_000
+    draws = sample_id_batch(t, RngStream(42, 0), n)
+    assert draws.tobytes() == sample_gamma(2.0, 1.5, RngStream(42, 0), n).tobytes()
     ks = ks_distance(draws, st.gamma(2.0, scale=1.0 / 1.5).cdf)
     assert ks < 0.015
+    atoms, _, below = sample_ppp_matrix(t.measure, RngStream(42, 1), None, n)
+    series = atoms.sum(axis=1) + below
+    assert _two_sample_ks(draws, series) < 1.95 * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("eta", [1.0, 2.0])
+@pytest.mark.parametrize("a", [0.0, 0.3])
+def test_sample_id_relu_beta_half_draws_the_gamma_image(eta, a):
+    # ReLU maps beta(eta, 1/2) to gamma(eta/2, rate 1/2), so the marked sum
+    # is a E[relu(Z)^2] plus one exact Gamma(eta/2, rate 1/2) draw
+    t = LevyTriple(a, beta_measure(eta, 0.5))
+    draws = sample_id_batch(t, RngStream(53, 0), 1000, act=RELU)
+    expect = a * RELU.c_phi + sample_gamma(eta / 2.0, 0.5, RngStream(53, 0), 1000)
+    assert draws.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("alpha, floor", [(0.5, 1e-5), (0.7, 1e-3)])

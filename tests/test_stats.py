@@ -105,6 +105,39 @@ def test_run_experiment_unknown_name():
         run_experiment("no_such_experiment", 1, 1)
 
 
+def test_run_experiment_refuses_config_keys_it_does_not_read():
+    # every experiment echoes the keys it reads into report.config, so a
+    # misspelt key is named instead of silently dropped
+    spec = {"name": "kernel_realizations", "betas": [1.0], "n_rho": 3,
+            "widht": 500}
+    with pytest.raises(ValueError, match=r"kernel_realizations does not read "
+                                         r"the config key\(s\) \['widht'\]"):
+        run_experiment(spec, 0, 2)
+    with pytest.raises(ValueError, match=r"\['models'\]"):
+        run_experiment({"name": "verify", "models": ["beta"]}, 0, 200)
+    del spec["widht"]
+    assert run_experiment(spec, 0, 2).config == {"betas": [1.0], "n_rho": 3}
+
+
+def test_seeds_streams_and_counts_must_be_integers():
+    # a float or a bool used to be truncated by int(): RngStream(0.9, 1.5)
+    # keyed (0, 1), and run_experiment("verify", 0.9, 200.7) ran seed 0 with
+    # 200 replicates
+    for args in ((0.9, 1), (0, 1.5), (True, 0), (0, False), ("3", 0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RngStream(*args)
+    for args in ((0.9, 200), (0, 200.7), (0, 200, 1.5), (0, True),
+                 (np.float64(1.0), 200)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_experiment("verify", *args)
+    # numpy integers are integers
+    assert RngStream(np.uint64(5), np.int32(2)).stream_index == 2
+    rep = run_experiment({"name": "kernel_realizations", "betas": [1.0],
+                          "n_rho": 3}, np.int64(4), np.int16(2), np.int8(1))
+    assert (rep.master_seed, rep.replicate_count) == (4, 2)
+    assert type(rep.master_seed) is int and type(rep.replicate_count) is int
+
+
 def test_experiment_registry_names():
     assert experiment_names() == sorted([
         "output_dist", "output_corr", "max_weight", "truncation_error",
