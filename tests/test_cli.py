@@ -203,8 +203,8 @@ def test_config_integers_are_checked_like_the_flags(tmp_path, capsys):
 
 
 def test_config_key_the_experiment_does_not_read_is_refused(tmp_path):
-    # a misspelt key used to be dropped: the run exited 0 and its manifest
-    # config left the key out
+    # a key the experiment does not read, such as a misspelt one, is named
+    # in the error rather than dropped from the run and its manifest
     out = tmp_path / "out"
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"betas": [1.0], "n_rho": 3,

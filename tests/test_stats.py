@@ -120,9 +120,9 @@ def test_run_experiment_refuses_config_keys_it_does_not_read():
 
 
 def test_seeds_streams_and_counts_must_be_integers():
-    # a float or a bool used to be truncated by int(): RngStream(0.9, 1.5)
-    # keyed (0, 1), and run_experiment("verify", 0.9, 200.7) ran seed 0 with
-    # 200 replicates
+    # a float or a bool is refused, not truncated by int(): RngStream(0.9,
+    # 1.5) must not key (0, 1), nor run_experiment("verify", 0.9, 200.7) run
+    # seed 0 with 200 replicates
     for args in ((0.9, 1), (0, 1.5), (True, 0), (0, False), ("3", 0)):
         with pytest.raises(ValueError, match="must be an integer"):
             RngStream(*args)
