@@ -170,13 +170,6 @@ def forward(real, cfg, x):
     return zs
 
 
-def _bias_augmented(a, sigma_b):
-    """[a | sigma_b 1], whose Gram matrix is sigma_b^2 + a a^T."""
-    if sigma_b > 0:
-        a = np.hstack([a, np.full((a.shape[0], 1), sigma_b)])
-    return a
-
-
 def _distinct_rows(a):
     """(distinct, back): the bitwise-distinct rows of a in order of first
     appearance, and for every row of a the index of its copy in distinct."""
@@ -220,7 +213,9 @@ def forward_law(cfg, lambdas, x, rng, keep=None):
         a = cfg.sigma_v * h * np.sqrt(lambdas[l - 1])
         if l > 1 and keep is not None:
             a = a * keep[l - 2]
-        distinct, back = _distinct_rows(_bias_augmented(a, cfg.sigma_b))
+        if cfg.sigma_b > 0:
+            a = np.hstack([a, np.full((a.shape[0], 1), cfg.sigma_b)])
+        distinct, back = _distinct_rows(a)
         factor = np.linalg.qr(distinct.T, mode="r").T
         z = (factor @ gen.standard_normal((factor.shape[1], sizes[l])))[back]
         zs.append(z[0] if squeeze else z)
@@ -287,6 +282,16 @@ def variance_recursion(cfg, x):
 _MC_BUDGET = 100_000
 
 
+def _correlation(kmat):
+    """(d, rho): the scales d = sqrt(diag kmat), a negative diagonal read as 0,
+    and the correlations rho = kmat / (d d^T), 0 where d_i d_j = 0."""
+    d = np.sqrt(np.clip(np.diag(kmat), 0.0, None))
+    denom = np.outer(d, d)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.where(denom > 0, kmat / np.where(denom > 0, denom, 1.0), 0.0)
+    return d, rho
+
+
 def _cond_phi_outer(kmat, act, gen, factor=None):
     """E[phi(z_i) phi(z_j)] over z ~ N(0, kmat): closed form for positive
     homogeneous phi, Monte Carlo with a 1e5-draw budget otherwise (tanh),
@@ -298,38 +303,38 @@ def _cond_phi_outer(kmat, act, gen, factor=None):
     if not act.homogeneous:
         fz = act(gen.standard_normal((_MC_BUDGET, factor.shape[1])) @ factor.T)
         return fz.T @ fz / _MC_BUDGET
-    d = np.sqrt(np.clip(np.diag(kmat), 0.0, None))
-    denom = np.outer(d, d)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.where(denom > 0, kmat / np.where(denom > 0, denom, 1.0), 0.0)
+    d, rho = _correlation(kmat)
     rho = np.clip(rho, -1.0, 1.0)
     p, q = act.slopes
     kap = (p * p + q * q) * kernels.kappa(1.0, rho)
     if p * q != 0.0:
         kap = kap + 2.0 * p * q * kernels.kappa(1.0, -rho)
-    return denom * kap / (2.0 * math.pi)
+    return np.outer(d, d) * kap / (2.0 * math.pi)
 
 
 def _psd_factor(kmat):
-    """F = V_r diag(sqrt(w_r)) with F F^T = kmat, from the eigenpairs (w, V)
-    of the symmetric kmat, keeping the r eigenvalues above n eps max(w)
+    """F = diag(d) V_r diag(sqrt(w_r)) with F F^T = kmat, from the eigenpairs
+    (w, V) of the correlations rho = kmat / (d d^T), d = sqrt(diag kmat), so
+    that every row keeps its own relative accuracy whatever its scale
+    (Demmel & Veselic 1992).  The r eigenvalues above n eps max(w) are kept
     (numpy's matrix_rank tolerance): marks cost rank(kmat) normals per atom.
     An eigenvalue below -1e-8 max(w) raises LinAlgError: kmat is not PSD."""
-    w, v = np.linalg.eigh(kmat)
+    d, rho = _correlation(kmat)
+    w, v = np.linalg.eigh(rho)
     top = max(float(w[-1]), 0.0)
     if w[0] < -1e-8 * top:
-        raise np.linalg.LinAlgError(f"kernel matrix is not PSD: eigenvalue "
-                                    f"{w[0]:.3g} against a largest {top:.3g}")
+        raise np.linalg.LinAlgError(f"kernel matrix is not PSD: correlation "
+                                    f"eigenvalue {w[0]:.3g} against a largest "
+                                    f"{top:.3g}")
     keep = w > kmat.shape[0] * np.finfo(float).eps * top
-    return v[:, keep] * np.sqrt(w[keep])
+    return d[:, None] * v[:, keep] * np.sqrt(w[keep])
 
 
-def _random_kernels(cfg, kmat, rng, factor=None):
+def _random_kernels(cfg, kmat, rng):
     """K^{(1..L+1)} from K^{(1)} = kmat, layer by layer: one draw from an (n, n)
-    kmat with exact factor F F^T = kmat, or a chain per entry of one input's
-    Sigma^{(1)} vector kmat.  A layer below the first that needs marks
-    factors its kernel by `_psd_factor`.  `levy` truncates each layer's atoms
-    at its measure's default floor and compensates their mean."""
+    kmat, or a chain per entry of one input's Sigma^{(1)} vector kmat.  Each
+    layer's atoms are cut at its measure's default floor by `levy`, which
+    returns their dropped mean."""
     gen, act, sv2 = rng.generator, cfg.activation, cfg.sigma_v ** 2
     out = [kmat]
     for model in cfg.variance_models:
@@ -340,7 +345,8 @@ def _random_kernels(cfg, kmat, rng, factor=None):
         else:
             atoms, _, below = levy.sample_ppp_matrix(m, rng)
             atoms = atoms[atoms > 0]
-            if factor is None and (atoms.size or not act.homogeneous):
+            factor = None
+            if atoms.size or not act.homogeneous:
                 factor = _psd_factor(kmat)
             cond = _cond_phi_outer(kmat, act, gen, factor)
             nxt = cfg.sigma_b ** 2 + sv2 * (a + below) * cond
@@ -348,7 +354,6 @@ def _random_kernels(cfg, kmat, rng, factor=None):
                 fz = act(gen.standard_normal((atoms.size, factor.shape[1])) @ factor.T)
                 nxt = nxt + sv2 * (fz.T * atoms) @ fz
             kmat = 0.5 * (nxt + nxt.T)
-            factor = None
         out.append(kmat)
     return out
 
@@ -358,31 +363,17 @@ def sample_random_kernel(cfg, inputs, rng):
     of inputs (n <= 64 rows).
 
     K^{(1)} = sigma_b^2 + sigma_v^2 x^T x' / d_in; each next layer adds the
-    drift term sigma_v^2 a E[phi(z) phi(z')|K] and an atom series
-    sigma_v^2 sum_j lam_j phi(zeta_j(x)) phi(zeta_j(x')) with atoms from the
-    layer's limiting measure and zeta_j ~ N(0, K^{(l)}).  The mean
-    int_0^floor x rho(dx) of the atoms dropped below the measure's default
-    floor is folded into the drift term.
-
-    The marks are zeta = G F^T with G iid N(0, 1) of shape (atoms, r) and
-    F F^T = K^{(l)}, F of r columns.  At layer 1, F is the exact input factor
-    [sigma_v x / sqrt(d_in) | sigma_b 1], reduced to n columns by a thin QR
-    (F = R^T from F^T = Q R) only when it has more: exact also for duplicate
-    or collinear inputs, at any relative scale.  Deeper kernels are only
-    known as matrices, and there F is their eigen-factor `_psd_factor`, of
-    r = rank(K^{(l)}) columns.
+    drift term sigma_v^2 (a + dropped mean) E[phi(z) phi(z')|K] and the atom
+    series sigma_v^2 sum_j lam_j phi(zeta_j(x)) phi(zeta_j(x')), with marks
+    zeta_j ~ N(0, K^{(l)}) drawn through the factor `_psd_factor`.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    n = x.shape[0]
-    if n > 64:
+    if x.shape[0] > 64:
         raise ValueError("sample_random_kernel supports at most 64 inputs")
     if x.shape[1] != cfg.d_in:
         raise ValueError(f"inputs have {x.shape[1]} features, expected {cfg.d_in}")
     kmat = cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * (x @ x.T) / cfg.d_in
-    factor = _bias_augmented(cfg.sigma_v * x / math.sqrt(cfg.d_in), cfg.sigma_b)
-    if factor.shape[1] > n:
-        factor = np.linalg.qr(factor.T, mode="r").T
-    return _random_kernels(cfg, kmat, rng, factor)
+    return _random_kernels(cfg, kmat, rng)
 
 
 def stable_case_scale(cfg, x, alpha, rng=None):
