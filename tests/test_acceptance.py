@@ -204,7 +204,7 @@ def kernel_moment_statistics(seed):
 
         def one(i, cfg=cfg, bi=bi):
             k2 = sample_random_kernel(
-                cfg, inputs, RngStream(seed, 800 + 100 * bi + i))[1]
+                cfg, inputs, RngStream(seed, 800 + 10_000 * bi + i))[1]
             return k2[0, 1], k2[0, 2]
 
         vals = np.array(map_replicates(one, n, 8))
