@@ -195,7 +195,10 @@ def main(argv=None):
                      f"(choose from {', '.join(map(repr, FORMATS))})")
     config["name"] = args.command
 
-    report = run_experiment(config, seed, replicates, worker_count=workers)
+    try:
+        report = run_experiment(config, seed, replicates, worker_count=workers)
+    except ValueError as err:
+        parser.error(str(err))
     files = _write_report(report, out_dir, fmt)
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"

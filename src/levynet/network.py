@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels, levy
 from .activations import ActivationKind, activation_from_name
 from .models import model_from_spec
-from .rng import sample_positive_stable
+from .rng import _integer, sample_positive_stable
 
 __all__ = [
     "NetworkConfig",
@@ -58,14 +58,17 @@ class NetworkConfig:
     variance_models: list
 
     def __post_init__(self):
+        self.d_in = _integer("d_in", self.d_in)
+        self.d_out = _integer("d_out", self.d_out)
+        self.widths = [_integer("hidden width", p) for p in self.widths]
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError("d_in and d_out must be positive")
         if any(p < 1 for p in self.widths):
             raise ValueError("hidden widths must be positive")
-        if self.sigma_v <= 0:
-            raise ValueError("sigma_v must be > 0")
-        if self.sigma_b < 0:
-            raise ValueError("sigma_b must be >= 0")
+        if not (math.isfinite(self.sigma_v) and self.sigma_v > 0):
+            raise ValueError(f"sigma_v must be finite and > 0, got {self.sigma_v!r}")
+        if not (math.isfinite(self.sigma_b) and self.sigma_b >= 0):
+            raise ValueError(f"sigma_b must be finite and >= 0, got {self.sigma_b!r}")
         if len(self.variance_models) != len(self.widths):
             raise ValueError("need one variance model per hidden layer")
 
@@ -100,9 +103,9 @@ class NetworkConfig:
         if isinstance(act, str):
             act = {"name": act}
         return cls(
-            d_in=int(d["d_in"]),
-            d_out=int(d["d_out"]),
-            widths=[int(p) for p in d["widths"]],
+            d_in=d["d_in"],
+            d_out=d["d_out"],
+            widths=list(d["widths"]),
             sigma_v=float(d["sigma_v"]),
             sigma_b=float(d["sigma_b"]),
             activation=activation_from_name(act["name"], act.get("beta")),
@@ -179,7 +182,7 @@ def _distinct_rows(a):
         if k == len(first):
             first.append(i)
         back.append(k)
-    return a[first], np.array(back)
+    return a[first], np.array(back, dtype=int)
 
 
 def forward_law(cfg, lambdas, x, rng, keep=None):
@@ -234,6 +237,8 @@ def _first_variance(cfg, x):
         raise ValueError(f"expected one input vector, got shape {x.shape}")
     if x.size != cfg.d_in:
         raise ValueError(f"input has {x.size} features, expected {cfg.d_in}")
+    if not np.isfinite(x).all():
+        raise ValueError("input entries must be finite")
     return cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * float(x @ x) / cfg.d_in
 
 
@@ -359,8 +364,8 @@ def _random_kernels(cfg, kmat, rng):
 
 
 def sample_random_kernel(cfg, inputs, rng):
-    """One draw of the random covariance kernels K^{(1..L+1)} on a small batch
-    of inputs (n <= 64 rows).
+    """One draw of the random covariance kernels K^{(1..L+1)} on a batch of 1
+    to 64 input rows with finite entries.
 
     K^{(1)} = sigma_b^2 + sigma_v^2 x^T x' / d_in; each next layer adds the
     drift term sigma_v^2 (a + dropped mean) E[phi(z) phi(z')|K] and the atom
@@ -368,10 +373,13 @@ def sample_random_kernel(cfg, inputs, rng):
     zeta_j ~ N(0, K^{(l)}) drawn through the factor `_psd_factor`.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if x.shape[0] > 64:
-        raise ValueError("sample_random_kernel supports at most 64 inputs")
+    if not 1 <= x.shape[0] <= 64:
+        raise ValueError(f"sample_random_kernel takes 1 to 64 inputs, "
+                         f"got {x.shape[0]}")
     if x.shape[1] != cfg.d_in:
         raise ValueError(f"inputs have {x.shape[1]} features, expected {cfg.d_in}")
+    if not np.isfinite(x).all():
+        raise ValueError("input entries must be finite")
     kmat = cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * (x @ x.T) / cfg.d_in
     return _random_kernels(cfg, kmat, rng)
 

@@ -202,18 +202,34 @@ def test_config_integers_are_checked_like_the_flags(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_config_key_the_experiment_does_not_read_is_refused(tmp_path):
-    # a key the experiment does not read, such as a misspelt one, is named
-    # in the error rather than dropped from the run and its manifest
+def _refused_config(tmp_path, capsys, config):
+    # kernel_realizations on config: a usage error, exit code 2, nothing
+    # written; returns the message
     out = tmp_path / "out"
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"betas": [1.0], "n_rho": 3,
-                                    "widht": 500}))
-    with pytest.raises(ValueError, match=r"\['widht'\]"):
+    cfg_file.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
         cli.main(["kernel_realizations", "--seed", "0", "--replicates", "2",
                   "--config", str(cfg_file), "--out", str(out)])
-    # nothing was written
+    assert err.value.code == 2
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_config_key_the_experiment_does_not_read_is_refused(tmp_path, capsys):
+    # a key the experiment does not read, such as a misspelt one, is named
+    # in the error rather than dropped from the run and its manifest
+    err = _refused_config(tmp_path, capsys, {"betas": [1.0], "n_rho": 3,
+                                             "widht": 500})
+    assert "['widht']" in err
+
+
+def test_config_value_the_experiment_refuses_is_a_usage_error(tmp_path,
+                                                              capsys):
+    # a value the experiment itself refuses ends as a usage error, not a
+    # traceback
+    err = _refused_config(tmp_path, capsys, {"n_rho": "abc"})
+    assert "invalid literal for int()" in err
 
 
 def test_missing_seed_rejected(tmp_path):

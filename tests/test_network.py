@@ -40,6 +40,26 @@ def test_config_validation_and_roundtrip():
     assert cfg.layer_sizes() == [2, 5, 7, 3]
 
 
+def test_config_refuses_non_integer_sizes_and_non_finite_scales():
+    det = make_model("deterministic", c1=1.0)
+    good = dict(d_in=2, d_out=1, widths=[5], sigma_v=1.0, sigma_b=0.0,
+                activation=RELU, variance_models=[det])
+    for key, value in (("widths", [2.5]), ("widths", [True]), ("d_in", 2.0),
+                       ("d_out", True), ("sigma_v", math.nan),
+                       ("sigma_v", math.inf), ("sigma_b", math.nan),
+                       ("sigma_b", math.inf)):
+        with pytest.raises(ValueError):
+            NetworkConfig(**{**good, key: value})
+    # numpy integers pass and are stored as ints
+    cfg = NetworkConfig(**{**good, "d_in": np.int64(2),
+                           "widths": [np.int32(5)]})
+    assert type(cfg.d_in) is int and type(cfg.widths[0]) is int
+    # a JSON size of 2.5 is refused, not truncated to 2
+    spec = {**cfg.to_dict(), "d_in": 2.5}
+    with pytest.raises(ValueError, match="d_in must be an integer"):
+        NetworkConfig.from_dict(spec)
+
+
 def test_forward_shapes_and_weight_scaling():
     det = make_model("deterministic", c1=1.0)
     cfg = NetworkConfig(3, 2, [10, 20], 1.0, 0.1, RELU, [det, det])
@@ -130,6 +150,17 @@ def test_forward_law_layer_covariance_is_exact():
     # a 1-d input squeezes like forward
     single = forward_law(cfg, lams, x[0], RngStream(53, 1))
     assert [z.shape for z in single] == [(7,), (8,), (6,)]
+
+
+def test_forward_law_empty_batch_gives_empty_layers_like_forward():
+    beta = make_model("beta", eta=1.0, b=0.5)
+    cfg = NetworkConfig(3, 2, [4, 5], 1.0, 0.3, RELU, [beta, beta])
+    lams = sample_lambdas(cfg, RngStream(53, 2))
+    x = np.zeros((0, 3))
+    zs = forward_law(cfg, lams, x, RngStream(53, 3))
+    oracle = forward(sample_network(cfg, RngStream(53, 4)), cfg, x)
+    assert [z.shape for z in zs] == [z.shape for z in oracle] == [
+        (0, 4), (0, 5), (0, 2)]
 
 
 def test_forward_law_matches_explicit_weights_in_law():
@@ -431,43 +462,61 @@ _DUPLICATE_COLLINEAR_X = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0],
                                    [-0.5, 1.0, -2.0]])
 
 
+_SMALL_ROW = 1e-9 * np.array([[0.5, -1.0, 2.0]])
+
+
 @pytest.mark.parametrize("x, sigma_b, depth", [
-    # duplicate and collinear rows, bias; factor [x / sqrt(3) | 0.4] is 5 x 4
+    # duplicate and collinear rows with a bias: K^{(1)} of rank 3
     (_DUPLICATE_COLLINEAR_X, 0.4, 1),
-    # d_in + 1 > n: the 2 x 4 factor is compressed by a thin QR
+    # two equal rows: K^{(1)} of rank 1, below n = 2 and d_in + 1 = 4
     (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]), 0.4, 1),
     (np.array([[1.0, -2.0, 0.5, 0.0, 3.0, 1.0],
                [2.0, -4.0, 1.0, 0.0, 6.0, 2.0],
                [0.0, 1.0, 1.0, 1.0, 0.0, 0.0]]), 0.0, 1),
-    # layer 2 marks the rank-3 K^{(2)} through its eigen-factor
+    # layer 2 marks the rank-3 K^{(2)}
     (_DUPLICATE_COLLINEAR_X, 0.4, 2),
+    # an input 1e-9 times the scale of the others keeps its own relative
+    # accuracy at every layer
+    (np.vstack([[1.0, 2.0, 3.0], _SMALL_ROW]), 0.0, 2),
+    (np.vstack([_DUPLICATE_COLLINEAR_X, 1e-9 * np.array([0.5, 1.0, -1.0])]),
+     0.0, 2),
 ])
 def test_kernel_layer1_marks_have_exact_input_covariance(x, sigma_b, depth):
     # a linear layer whose atoms all sit at loc adds sigma_v^2 loc
     # zeta^T zeta to K^{(l+1)}; the marks' (atoms, rank) normal block has
     # orthonormal columns (about 40 atoms, rank <= 4), so zeta^T zeta is the
-    # covariance of the marks, and it must be K^{(l)} exactly
+    # covariance of the marks, and it must be K^{(l)} exactly, entry by entry
+    # to 1e-14 sqrt(K_ii K_jj)
     a, loc = 0.3, 0.7
     d_in = x.shape[1]
     cfg = NetworkConfig(d_in, 1, [1] * depth, 1.3, sigma_b,
                         activation_from_name("linear"),
                         [_atom_limit(a, loc, 40.0)] * depth)
     ks = sample_random_kernel(cfg, x, _OrthonormalBlocks())
-    expect1 = sigma_b ** 2 + 1.3 ** 2 * x @ x.T / d_in
-    assert np.allclose(ks[0], expect1, rtol=1e-12, atol=1e-12)
-    expect2 = sigma_b ** 2 + 1.3 ** 2 * (a + loc) * expect1
-    assert np.allclose(ks[1], expect2, rtol=1e-12, atol=1e-12)
-    if depth == 2:
-        expect3 = sigma_b ** 2 + 1.3 ** 2 * (a + loc) * ks[1]
-        assert np.max(np.abs(ks[2] - expect3)) <= 1e-14 * np.max(np.abs(ks[2]))
+    expects = [sigma_b ** 2 + 1.3 ** 2 * x @ x.T / d_in]
+    expects += [sigma_b ** 2 + 1.3 ** 2 * (a + loc) * k for k in ks[:-1]]
+    for k, expect in zip(ks, expects):
+        scale = np.sqrt(np.diag(expect))
+        assert np.all(np.abs(k - expect) <= 1e-14 * np.outer(scale, scale))
 
 
-@pytest.mark.parametrize("n, d_in, sigma_b, ranks", [
-    (5, 2, 0.3, [3]), (2, 4, 0.3, [2]), (6, 3, 0.0, [3]),
+def _normal_rows(n, d_in, repeat_first=False):
+    x = np.random.default_rng(n).standard_normal((n, d_in))
+    if repeat_first:
+        x[-1] = x[0]
+    return x
+
+
+@pytest.mark.parametrize("x, sigma_b, ranks", [
+    (_normal_rows(5, 2), 0.3, [3]), (_normal_rows(2, 4), 0.3, [2]),
+    (_normal_rows(6, 3), 0.0, [3]),
     # depth 2 on 4 inputs, the last a copy of the first: K^{(2)} has rank 3,
-    # so its eigen-factor marks each atom of layer 2 with 3 normals, not 4
-    (4, 2, 0.3, [3, 3])])
-def test_kernel_layer1_draws_atoms_times_rank_normals(monkeypatch, n, d_in,
+    # so its factor marks each atom of layer 2 with 3 normals, not 4
+    (_normal_rows(4, 2, repeat_first=True), 0.3, [3, 3]),
+    # duplicate and collinear rows with a bias: rank 3, not
+    # min(n, d_in + 1) = 4
+    (_DUPLICATE_COLLINEAR_X, 0.4, [3])])
+def test_kernel_layer1_draws_atoms_times_rank_normals(monkeypatch, x,
                                                       sigma_b, ranks):
     atoms = []
     sample_ppp_matrix = network.levy.sample_ppp_matrix
@@ -480,12 +529,9 @@ def test_kernel_layer1_draws_atoms_times_rank_normals(monkeypatch, n, d_in,
     monkeypatch.setattr(network.levy, "sample_ppp_matrix", recording)
     beta = make_model("beta", eta=2.0, b=0.5)
     depth = len(ranks)
-    cfg = NetworkConfig(d_in, 1, [1] * depth, 1.0, sigma_b, RELU,
+    cfg = NetworkConfig(x.shape[1], 1, [1] * depth, 1.0, sigma_b, RELU,
                         [beta] * depth)
-    x = np.random.default_rng(n).standard_normal((n, d_in))
-    if depth > 1:
-        x[-1] = x[0]
-    rng = _CountingNormals(RngStream(64, n))
+    rng = _CountingNormals(RngStream(64, x.shape[0]))
     ks = sample_random_kernel(cfg, x, rng)
     assert min(atoms) > 10
     assert [np.linalg.matrix_rank(k) for k in ks[:depth]] == ranks
@@ -628,6 +674,18 @@ def test_kernel_input_validation():
         sample_random_kernel(cfg, np.ones((2, 3)), RngStream(1, 0))
 
 
+@pytest.mark.parametrize("x, message", [
+    (np.zeros((0, 2)), "1 to 64 inputs"),
+    (np.array([[1.0, 0.5], [math.nan, 1.0]]), "entries must be finite"),
+    (np.array([[1.0, 0.5], [math.inf, 1.0]]), "entries must be finite")],
+    ids=["empty", "nan", "inf"])
+def test_kernel_refuses_empty_and_non_finite_batches(x, message):
+    det = make_model("deterministic", c1=1.0)
+    cfg = NetworkConfig(2, 1, [5], 1.0, 0.0, RELU, [det])
+    with pytest.raises(ValueError, match=message):
+        sample_random_kernel(cfg, x, RngStream(1, 0))
+
+
 def test_stable_case_scale_single_layer():
     # one hidden ReLU layer, |x|^2/d_in = 1: r = E[(X+)^{2a}]^{1/a}
     ig_stable = make_model("inverse_gamma_stable", alpha=0.5)
@@ -683,13 +741,24 @@ def test_stable_case_scale_is_the_transformed_stable_scale(alpha):
         assert abs(got - expect) <= 1e-12 * expect
 
 
-@pytest.mark.parametrize("call", [
+_SINGLE_INPUT_CALLS = pytest.mark.parametrize("call", [
     lambda cfg, x: simulate_limit_single_input(cfg, x, RngStream(1, 0)),
     variance_recursion,
     lambda cfg, x: stable_case_scale(cfg, x, 0.5),
 ], ids=["simulate_limit_single_input", "variance_recursion",
         "stable_case_scale"])
+
+
+@_SINGLE_INPUT_CALLS
 def test_single_input_functions_check_the_input_length(call):
     cfg = _cfg(make_model("inverse_gamma_stable", alpha=0.5))
     with pytest.raises(ValueError, match="input has 2 features, expected 1"):
         call(cfg, np.array([1.0, 2.0]))
+
+
+@_SINGLE_INPUT_CALLS
+def test_single_input_functions_refuse_a_non_finite_input(call):
+    cfg = _cfg(make_model("inverse_gamma_stable", alpha=0.5))
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            call(cfg, np.array([value]))
