@@ -66,9 +66,11 @@ class NetworkConfig:
         if any(p < 1 for p in self.widths):
             raise ValueError("hidden widths must be positive")
         if not (math.isfinite(self.sigma_v) and self.sigma_v > 0):
-            raise ValueError(f"sigma_v must be finite and > 0, got {self.sigma_v!r}")
+            raise ValueError(f"sigma_v must be finite and > 0, "
+                             f"got {self.sigma_v!r}")
         if not (math.isfinite(self.sigma_b) and self.sigma_b >= 0):
-            raise ValueError(f"sigma_b must be finite and >= 0, got {self.sigma_b!r}")
+            raise ValueError(f"sigma_b must be finite and >= 0, "
+                             f"got {self.sigma_b!r}")
         if len(self.variance_models) != len(self.widths):
             raise ValueError("need one variance model per hidden layer")
 
