@@ -325,14 +325,16 @@ def _psd_factor(kmat):
     that every row keeps its own relative accuracy whatever its scale
     (Demmel & Veselic 1992).  The r eigenvalues above n eps max(w) are kept
     (numpy's matrix_rank tolerance): marks cost rank(kmat) normals per atom.
-    An eigenvalue below -1e-8 max(w) raises LinAlgError: kmat is not PSD."""
+    A negative diagonal entry, or an eigenvalue below -1e-8 max(w), raises
+    LinAlgError: kmat is not PSD."""
     d, rho = _correlation(kmat)
     w, v = np.linalg.eigh(rho)
     top = max(float(w[-1]), 0.0)
-    if w[0] < -1e-8 * top:
-        raise np.linalg.LinAlgError(f"kernel matrix is not PSD: correlation "
-                                    f"eigenvalue {w[0]:.3g} against a largest "
-                                    f"{top:.3g}")
+    low = float(np.diag(kmat).min())
+    if w[0] < -1e-8 * top or low < 0.0:
+        raise np.linalg.LinAlgError(f"kernel matrix is not PSD: diagonal "
+                                    f"{low:.3g}, correlation eigenvalue "
+                                    f"{w[0]:.3g} against a largest {top:.3g}")
     keep = w > kmat.shape[0] * np.finfo(float).eps * top
     return d[:, None] * v[:, keep] * np.sqrt(w[keep])
 

@@ -462,9 +462,6 @@ _DUPLICATE_COLLINEAR_X = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0],
                                    [-0.5, 1.0, -2.0]])
 
 
-_SMALL_ROW = 1e-9 * np.array([[0.5, -1.0, 2.0]])
-
-
 @pytest.mark.parametrize("x, sigma_b, depth", [
     # duplicate and collinear rows with a bias: K^{(1)} of rank 3
     (_DUPLICATE_COLLINEAR_X, 0.4, 1),
@@ -477,7 +474,7 @@ _SMALL_ROW = 1e-9 * np.array([[0.5, -1.0, 2.0]])
     (_DUPLICATE_COLLINEAR_X, 0.4, 2),
     # an input 1e-9 times the scale of the others keeps its own relative
     # accuracy at every layer
-    (np.vstack([[1.0, 2.0, 3.0], _SMALL_ROW]), 0.0, 2),
+    (np.vstack([[1.0, 2.0, 3.0], 1e-9 * np.array([0.5, -1.0, 2.0])]), 0.0, 2),
     (np.vstack([_DUPLICATE_COLLINEAR_X, 1e-9 * np.array([0.5, 1.0, -1.0])]),
      0.0, 2),
 ])
@@ -657,6 +654,9 @@ def test_psd_factor_keeps_the_rank_and_refuses_negative_kernels():
     with pytest.raises(np.linalg.LinAlgError):
         _psd_factor((q * [-1e-6, 0.3, 0.5, 1.0]) @ q.T)
     assert _psd_factor((q * [-1e-12, 0.3, 0.5, 1.0]) @ q.T).shape == (4, 3)
+    # the correlations cannot show a negative diagonal, which is refused too
+    with pytest.raises(np.linalg.LinAlgError):
+        _psd_factor(np.diag([-1e-6, 1.0]))
     # an integer factor with a repeated row: K = A A^T is exact, of rank 2
     a = np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 2.0], [2.0, 0.0], [0.0, 1.0]])
     k = a @ a.T
