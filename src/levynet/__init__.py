@@ -22,8 +22,7 @@ from .models import (MODEL_NAMES, VarianceModel, check_id_conditions,
 from .network import (NetworkConfig, NetworkRealization, forward,
                       forward_law, sample_lambdas, sample_network,
                       sample_random_kernel,
-                      simulate_limit_single_input, stable_case_scale,
-                      variance_recursion)
+                      simulate_limit_single_input, variance_recursion)
 from .pruning import (compressibility_ratio, epsilon_error_bound,
                       epsilon_sweep_error, kappa_keep, paired_pruning_error)
 from .reporting import Check, Estimate, ExperimentReport
@@ -47,7 +46,7 @@ __all__ = [
     "NetworkConfig", "NetworkRealization", "forward", "forward_law",
     "sample_lambdas", "sample_network",
     "sample_random_kernel", "simulate_limit_single_input",
-    "stable_case_scale", "variance_recursion",
+    "variance_recursion",
     "compressibility_ratio", "epsilon_error_bound", "epsilon_sweep_error",
     "kappa_keep", "paired_pruning_error",
     "Check", "Estimate", "ExperimentReport",

@@ -7,11 +7,20 @@ measure rho.  Everything here is driven by the tail intensity
 rhobar(x) = rho((x, inf)) and its generalized inverse
 rhobar^{-1}(u) = inf{x > 0 : rhobar(x) < u}, which maps uniforms scaled by
 the mass above a floor to the atoms of the point process above that floor.
+
+The atoms of an infinite measure are drawn down to a floor eps, and the
+dropped atoms are replaced by their mean int_0^eps x rho(dx).  By default
+eps is set by a budget on the variance of what is dropped (Asmussen and
+Rosinski 2001): the largest eps <= x_ref with
+V(eps) = int_0^eps x^2 rho(dx) <= DROPPED_VARIANCE_TOL x_ref^2, x_ref the
+reference atom rhobar^{-1}(1).  No row may expect more than MAX_ROW_ATOMS
+atoms, whatever the floor.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import laguerre
@@ -47,7 +56,10 @@ __all__ = [
 ]
 
 QUAD_ABS_TOL = 1e-10
-DEFAULT_FLOOR_REL = 1e-8
+# the default floor drops atoms of variance at most this times x_ref^2
+DROPPED_VARIANCE_TOL = 1e-6
+# no floor may keep more than this many atoms a row on average
+MAX_ROW_ATOMS = 1e7
 
 # chi-square(1) helpers (the law of a squared standard normal)
 _chi2_sf = lambda x: sp.gammaincc(0.5, np.asarray(x, dtype=float) / 2.0)
@@ -59,7 +71,7 @@ _chi2_pdf = lambda x: np.exp(-np.asarray(x, dtype=float) / 2.0) / np.sqrt(
 class MeasureDescriptor:
     """A Levy measure on (0, inf), given by its functions: a vectorized tail
     intensity and moments, and optionally a closed-form inverse tail, density,
-    small-mass integral and exact sampler.
+    small-atom moments int_0^eps x^k rho(dx) for k = 1, 2 and exact sampler.
 
     A measure with a finite_sampler is finite and drawn exactly as
     compound-Poisson rows; one without is drawn by the truncated series.
@@ -80,7 +92,7 @@ class MeasureDescriptor:
     inverse_tail_fn: object = None
     density_fn: object = None
     moment_fn: object = None          # k -> M_k (may return inf)
-    mean_below_fn: object = None      # eps -> int_0^eps x rho(dx)
+    moment_below_fn: object = None    # eps, k -> int_0^eps x^k rho(dx), k = 1, 2
     finite_sampler: object = None     # rng, size -> draws from rho/|rho| (finite measures)
     family: tuple = None              # ("stable" | "gamma" | "beta" | "atomic", *params)
     truncation_cache: tuple = field(default=None, repr=False, compare=False)
@@ -217,7 +229,7 @@ def trivial_measure():
     zero = lambda x: np.zeros(np.shape(x))
     return MeasureDescriptor(
         name="trivial", support=(0.0, 0.0), tail_fn=zero, inverse_tail_fn=zero,
-        moment_fn=lambda k: 0.0, mean_below_fn=lambda e: 0.0,
+        moment_fn=lambda k: 0.0, moment_below_fn=lambda e, k: 0.0,
         finite_sampler=lambda rng, size: np.zeros(size))
 
 
@@ -242,7 +254,7 @@ def atomic_measure(atoms, name="atomic"):
         support=(0.0, float(locs.max())),
         tail_fn=tail, inverse_tail_fn=inverse,
         moment_fn=lambda k: float(sum(w * x**k for x, w in atoms)),
-        mean_below_fn=lambda e: float(sum(w * x for x, w in atoms if x <= e)),
+        moment_below_fn=lambda e, k: float(sum(w * x**k for x, w in atoms if x <= e)),
         finite_sampler=lambda rng, size: locs[rng.generator.choice(
             len(locs), p=ws / ws.sum(), size=size)],
         family=("atomic", atoms),
@@ -263,7 +275,7 @@ def stable_measure(alpha, c):
         inverse_tail_fn=lambda u: c * np.asarray(u, dtype=float) ** (-1.0 / alpha),
         density_fn=lambda x: alpha * ca * np.asarray(x, dtype=float) ** (-alpha - 1.0),
         moment_fn=lambda k: math.inf,
-        mean_below_fn=lambda e: alpha * ca * e ** (1.0 - alpha) / (1.0 - alpha),
+        moment_below_fn=lambda e, k: alpha * ca * e ** (k - alpha) / (k - alpha),
         family=("stable", alpha, c),
     )
 
@@ -292,7 +304,8 @@ def gamma_measure(eta, rate):
         density_fn=lambda x: eta * np.exp(-rate * np.asarray(x, dtype=float))
         / np.asarray(x, dtype=float),
         moment_fn=mom,
-        mean_below_fn=lambda e: eta * (-math.expm1(-rate * e)) / rate,
+        # eta gamma_lower(k, rate e) / rate^k
+        moment_below_fn=lambda e, k: mom(k) * sp.gammainc(k, rate * e),
         family=("gamma", eta, rate),
     )
 
@@ -384,6 +397,13 @@ def beta_measure(eta, b):
     def mom(k):
         return eta * sp.beta(k, b)
 
+    def below(e, k):
+        # eta B(k, b) I_e(k, b); the mean in its elementary form
+        e = min(e, 1.0)
+        if k == 1:
+            return eta * (1.0 - (1.0 - e) ** b) / b
+        return mom(k) * sp.betainc(k, b, e)
+
     return MeasureDescriptor(
         name="beta", params={"eta": eta, "b": b},
         support=(0.0, 1.0),
@@ -391,7 +411,7 @@ def beta_measure(eta, b):
         density_fn=lambda x: eta * (1.0 - np.asarray(x, dtype=float)) ** (b - 1.0)
         / np.asarray(x, dtype=float),
         moment_fn=mom,
-        mean_below_fn=lambda e: eta * (1.0 - (1.0 - min(e, 1.0)) ** b) / b,
+        moment_below_fn=below,
         family=("beta", eta, b),
     )
 
@@ -439,18 +459,23 @@ def gg_pareto_measure(eta, alpha, tau):
             return math.inf
         return eta * math.gamma(k - alpha) / (g1ma * (tau - k))
 
-    def mean_below(e):
-        if tau >= 1.1:
-            lo1 = sp.gammainc(1.0 - alpha, e) * g1ma
+    def moment_below(e, k):
+        # int_0^e x^k rho(dx); by parts, for k != tau,
+        # eta / Gamma(1-alpha) (g(k-alpha, e) - e^{k-tau} g(gshape, e)) / (tau - k).
+        # The mean takes it at every e; k = 2 only past e = 1, since the
+        # floor's bisection reads it down to e = 1e-300, where e^{k-tau}
+        # overflows
+        if tau >= k + 0.1 and (k == 1 or e > 1.0):
+            lo1 = sp.gammainc(k - alpha, e) * math.gamma(k - alpha)
             lo2 = sp.gammainc(gshape, e) * math.gamma(gshape)
-            return float(eta / g1ma * (lo1 - e ** (1.0 - tau) * lo2) / (tau - 1.0))
-        # the closed form above cancels as tau -> 1; integrate the series
+            return float(eta / g1ma * (lo1 - e ** (k - tau) * lo2) / (tau - k))
+        # the closed form above cancels as tau -> k; integrate the series
         # x^{-tau} g(gshape, x) = sum_n (-1)^n x^{n-alpha} / (n! (n+gshape))
         # term by term up to min(e, 1), and by quadrature beyond 1
         n = np.arange(_GG_TERMS, dtype=float)
-        head = min(e, 1.0) ** (n + 1.0 - alpha) / ((n + gshape) * (n + 1.0 - alpha))
+        head = min(e, 1.0) ** (n + k - alpha) / ((n + gshape) * (n + k - alpha))
         below = float(eta / g1ma * np.sum((-1.0) ** n * head / sp.factorial(n)))
-        return below if e <= 1.0 else below + _quad(lambda x: x * density(x), 1.0, e)
+        return below if e <= 1.0 else below + _quad(lambda x: x**k * density(x), 1.0, e)
 
     return MeasureDescriptor(
         name="gg_pareto",
@@ -460,7 +485,7 @@ def gg_pareto_measure(eta, alpha, tau):
             np.asarray(x, dtype=float) < 1e-6,
             eta / (g1ma * gshape) * np.asarray(x, dtype=float) ** (-1.0 - alpha),
             density(np.maximum(np.asarray(x, dtype=float), 1e-6))),
-        moment_fn=mom, mean_below_fn=mean_below,
+        moment_fn=mom, moment_below_fn=moment_below,
     )
 
 
@@ -483,6 +508,13 @@ def scaled_stable_beta_measure(c):
     def mom(k):
         return c ** (2 * k - 1) * math.gamma(k - 0.5) / (math.sqrt(math.pi) * math.gamma(k))
 
+    def below(e, k):
+        # (c^{2k-1} / pi) B(k - 1/2, 1/2) I_{e/c^2}(k - 1/2, 1/2); the mean
+        # in its elementary form
+        if k == 1:
+            return 2.0 * c / math.pi * math.asin(min(math.sqrt(e) / c, 1.0))
+        return mom(k) * sp.betainc(k - 0.5, 0.5, min(e / c2, 1.0))
+
     return MeasureDescriptor(
         name="scaled_stable_beta", params={"c": c},
         support=(0.0, c2),
@@ -490,7 +522,7 @@ def scaled_stable_beta_measure(c):
         density_fn=lambda x: (np.asarray(x, dtype=float) ** (-1.5)
                               / (math.pi * np.sqrt(1.0 - np.asarray(x, dtype=float) / c2))),
         moment_fn=mom,
-        mean_below_fn=lambda e: 2.0 * c / math.pi * math.asin(min(math.sqrt(e) / c, 1.0)),
+        moment_below_fn=below,
     )
 
 
@@ -553,12 +585,17 @@ def moment(m, k):
 def mean_mass_below(m, eps):
     """int_0^eps x rho(dx); the deterministic compensation for atoms dropped
     below a truncation threshold."""
-    if m.mean_below_fn is not None:
-        return float(m.mean_below_fn(eps))
+    return _moment_below(m, eps, 1)
+
+
+def _moment_below(m, eps, k):
+    """int_0^eps x^k rho(dx) for k = 1 or 2: the measure's closed form, else
+    int_0^eps k x^{k-1} (rhobar(x) - rhobar(eps)) dx by `_quad`."""
+    if m.moment_below_fn is not None:
+        return float(m.moment_below_fn(eps, k))
     eps = min(eps, m.support[1])
-    # int_0^e x rho(dx) = int_0^e (rhobar(x) - rhobar(e)) dx
     te = float(m.tail_fn(np.asarray([eps]))[0])
-    return _quad(lambda x: m.tail_fn(x) - te, m.support[0], eps)
+    return _quad(lambda x: (m.tail_fn(x) - te) * (k * x ** (k - 1)), m.support[0], eps)
 
 
 # ---------------------------------------------------------------------------
@@ -682,40 +719,80 @@ def activation_transform(t, act):
 # sampling
 # ---------------------------------------------------------------------------
 
-def default_atom_floor(m):
-    """Default truncation threshold: 1e-8 relative to rhobar^{-1}(1), and 0
-    for a finite measure with an exact sampler."""
-    if m.finite_sampler is not None:
-        return 0.0
+def _reference_atom(m):
+    """x_ref, the scale of a row's largest atoms: rhobar^{-1}(1), or
+    rhobar^{-1}(|rho| / 2) for a measure of mass at most 1, or the end of the
+    support (1 if unbounded) where that inverse is 0."""
     mass = m.total_mass()
     u_ref = 1.0 if not math.isfinite(mass) or mass > 1.0 else 0.5 * mass
     ref = inverse_tail_intensity(m, u_ref)
     if ref <= 0:
         ref = m.support[1] if math.isfinite(m.support[1]) else 1.0
-    return DEFAULT_FLOOR_REL * ref
+    return ref
+
+
+def default_atom_floor(m):
+    """Default truncation threshold: the largest eps <= x_ref whose dropped
+    atoms have variance V(eps) = int_0^eps x^2 rho(dx) at most
+    DROPPED_VARIANCE_TOL x_ref^2, x_ref = `_reference_atom`; 0 for a finite
+    measure with an exact sampler.  eps comes from `_generalized_inverse` on
+    V, in closed form where the measure has one and by `_quad` otherwise.
+    Its bracket is aimed 1e-9 below the budget, so V(eps) never exceeds it."""
+    if m.finite_sampler is not None:
+        return 0.0
+    ref = _reference_atom(m)
+    budget = DROPPED_VARIANCE_TOL * ref * ref * (1.0 - 1e-9)
+    neg_var = lambda x: -np.array([_moment_below(m, float(e), 2) for e in x])
+    return float(_generalized_inverse(neg_var, [-budget], (0.0, ref))[0])
+
+
+class _Truncation(NamedTuple):
+    """How the rows drawn for a measure are cut: the floor, the mean atoms a
+    row rhobar(floor), the mean and variance of the dropped atoms
+    int_0^floor x^k rho(dx) for k = 1, 2, and the inverse tail (None for a
+    finite measure, whose rows are exact)."""
+
+    floor: float
+    mass: float
+    mean_below: float
+    var_below: float
+    inverse: object
 
 
 def _truncation(m, atom_floor):
     """The truncation of the rows drawn for m, the one place a floor is
-    chosen: (floor, rhobar(floor), int_0^floor x rho(dx), inverse) with
-    floor the given atom_floor, or `default_atom_floor` if None, which must
-    be > 0.  inverse is the closed-form inverse tail, or a table built for
-    u up to just past rhobar(floor).  A finite measure's rows are exact:
-    (0, |rho|, 0, None) whatever the floor.  The record depends on m and
-    atom_floor alone, and the last one is kept in m.truncation_cache."""
+    chosen, as a `_Truncation` record.  The floor is the given atom_floor,
+    which must be > 0, or `default_atom_floor` if None: the largest floor
+    whose dropped variance is within DROPPED_VARIANCE_TOL x_ref^2.  inverse
+    is the closed-form inverse tail, or a table built for u up to just past
+    rhobar(floor).  A finite measure's rows are exact: (0, |rho|, 0, 0, None)
+    whatever the floor.  A floor that keeps more than MAX_ROW_ATOMS atoms a
+    row on average raises a ValueError before anything is built or drawn.
+    The record depends on m and atom_floor alone, and the last one is kept
+    in m.truncation_cache."""
     cached = m.truncation_cache  # read once: threads may replace it
     if cached is not None and cached[0] == atom_floor:
         return cached[1]
     if m.finite_sampler is not None:
-        record = 0.0, m.total_mass(), 0.0, None
+        floor, mass = 0.0, m.total_mass()
     else:
         floor = default_atom_floor(m) if atom_floor is None else float(atom_floor)
         if floor <= 0:
             raise ValueError("atom_floor must be > 0 for infinite-activity measures")
         mass = float(tail_intensity(m, floor))
+    if not mass <= MAX_ROW_ATOMS:
+        raise ValueError(
+            f"the floor {floor:.3g} keeps rhobar(floor) = {mass:.3g} atoms a row of "
+            f"{m.name}, past the atom budget of MAX_ROW_ATOMS = {MAX_ROW_ATOMS:.0e} "
+            f"(the default floor drops a variance of DROPPED_VARIANCE_TOL = "
+            f"{DROPPED_VARIANCE_TOL:g} times x_ref^2)")
+    if m.finite_sampler is not None:
+        record = _Truncation(0.0, mass, 0.0, 0.0, None)
+    else:
         inverse = m.inverse_tail_fn or _TabulatedInverse(
             m, (mass * (1 + 1e-9) + 1e-12) * 1.0000001)
-        record = floor, mass, mean_mass_below(m, floor), inverse
+        record = _Truncation(floor, mass, mean_mass_below(m, floor),
+                             _moment_below(m, floor, 2), inverse)
     m.truncation_cache = (atom_floor, record)
     return record
 
@@ -750,15 +827,18 @@ def _rows(m, rng, n, mass, inv):
 def sample_ppp_matrix(m, rng, atom_floor=None, n=1):
     """n independent point-process draws as a (n, J) array of atoms sorted
     decreasing along each row and padded with zeros, truncated at atom_floor
-    (the default floor if None; exact for finite measures).  Returns
-    (atoms, truncation_threshold, truncated_mean_mass), the last being
+    (exact for finite measures).  If None, the default floor drops atoms of
+    variance at most DROPPED_VARIANCE_TOL x_ref^2 (`default_atom_floor`).
+    A floor that keeps more than MAX_ROW_ATOMS atoms a row raises a
+    ValueError before anything is drawn.  Returns (atoms,
+    truncation_threshold, truncated_mean_mass), the last being
     int_0^threshold x rho(dx), the mean of the atoms dropped below the
     threshold; it is finite for every Levy measure.
 
     Every measure's rows come from `_rows`, exact for a finite measure and by
     the inverse tail at sorted uniforms otherwise, J their largest count."""
-    floor, mass, below, inv = _truncation(m, atom_floor)
-    return _rows(m, rng, n, mass, inv), floor, below
+    cut = _truncation(m, atom_floor)
+    return _rows(m, rng, n, cut.mass, cut.inverse), cut.floor, cut.mean_below
 
 
 _EXACT_ID = {"stable": sample_positive_stable, "gamma": sample_gamma}  # f(*params, rng, size)
@@ -772,7 +852,8 @@ def sample_id_batch(t, rng, n, atom_floor=None, act=None):
     and the law is the ID law of activation_transform(t, act), the one-input
     step of the infinite-width kernel.  The last term is the mean of the marked
     atoms dropped below the floor, which `_truncation` chooses: atom_floor, or
-    the measure's default if None.
+    if None the default floor, whose dropped atoms have variance at most
+    DROPPED_VARIANCE_TOL x_ref^2; past MAX_ROW_ATOMS atoms a row it raises.
 
     The image (c, eta), (a, rho) itself when act is None, is drawn exactly,
     whatever the floor, when eta is stable or gamma.  Otherwise `_rows` draws
@@ -786,15 +867,15 @@ def sample_id_batch(t, rng, n, atom_floor=None, act=None):
     if tag in _EXACT_ID:
         return loc + np.atleast_1d(_EXACT_ID[tag](*params, rng, n))
     m, w = t.measure, 1.0 if act is None else act.c_phi
-    _, mass, below, inv = _truncation(m, atom_floor)
-    rows = max(int(_BLOCK / max(mass, 1.0)), 1)
+    cut = _truncation(m, atom_floor)
+    rows = max(int(_BLOCK / max(cut.mass, 1.0)), 1)
     out = np.empty(n)
     for s in range(0, n, rows):
-        atoms = _rows(m, rng, min(rows, n - s), mass, inv)
+        atoms = _rows(m, rng, min(rows, n - s), cut.mass, cut.inverse)
         if act is None:
             sums = atoms.sum(axis=1)
         else:
             hit = atoms > 0.0
             sums = _marked_sums(rng.generator, atoms[hit], hit.sum(1), act)
-        out[s:s + rows] = below * w + sums
+        out[s:s + rows] = cut.mean_below * w + sums
     return loc + out

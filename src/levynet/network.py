@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels, levy
 from .activations import ActivationKind, activation_from_name
 from .models import model_from_spec
-from .rng import _integer, sample_positive_stable
+from .rng import _integer
 
 __all__ = [
     "NetworkConfig",
@@ -40,7 +40,6 @@ __all__ = [
     "simulate_limit_single_input",
     "variance_recursion",
     "sample_random_kernel",
-    "stable_case_scale",
 ]
 
 
@@ -158,14 +157,22 @@ def sample_network(cfg, rng):
     return NetworkRealization(lambdas=lambdas, V=V, B=B)
 
 
-def forward(real, cfg, x):
-    """Pre-activations Z^{(1..L+1)} for input x (a d_in vector, or an
-    (m, d_in) batch giving (m, p_l) entries per layer)."""
+def _input_batch(cfg, x):
+    """(h, squeeze): x as an (m, d_in) batch of finite rows, and whether it
+    was one d_in vector whose outputs squeeze to vectors."""
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
     h = np.atleast_2d(x)
     if h.shape[1] != cfg.d_in:
         raise ValueError(f"input has {h.shape[1]} features, expected {cfg.d_in}")
+    if not np.isfinite(h).all():
+        raise ValueError("input entries must be finite")
+    return h, x.ndim == 1
+
+
+def forward(real, cfg, x):
+    """Pre-activations Z^{(1..L+1)} for input x (a d_in vector, or an
+    (m, d_in) batch giving (m, p_l) entries per layer) with finite entries."""
+    h, squeeze = _input_batch(cfg, x)
     phi = cfg.activation
     zs = []
     for l in range(1, cfg.n_hidden + 2):
@@ -200,16 +207,12 @@ def forward_law(cfg, lambdas, x, rng, keep=None):
     layer draws one standard_normal((rank, p_l)) block, and rows that are
     bitwise equal get bit-identical outputs.
 
-    x is an (m, d_in) batch (or a d_in vector, squeezing the outputs like
-    `forward`).  keep, if given, holds one boolean mask per hidden layer,
+    x is an (m, d_in) batch with finite entries (or a d_in vector, squeezing
+    the outputs like `forward`).  keep, if given, holds one boolean mask per hidden layer,
     broadcastable to (m, p_l); a False entry prunes that node for that row,
     i.e. zeroes its variance in the product into the next layer.
     """
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    h = np.atleast_2d(x)
-    if h.shape[1] != cfg.d_in:
-        raise ValueError(f"input has {h.shape[1]} features, expected {cfg.d_in}")
+    h, squeeze = _input_batch(cfg, x)
     gen = rng.generator
     phi = cfg.activation
     sizes = cfg.layer_sizes()
@@ -256,7 +259,7 @@ def simulate_limit_single_input(cfg, x, rng, replicates=1):
     Returns (sigma_chains, outputs) with shapes (replicates, L+1) and
     (replicates, d_out); both squeeze to 1-d when replicates == 1.
     """
-    n = int(replicates)
+    n = _integer("replicates", replicates)
     if n < 1:
         raise ValueError(f"replicates must be >= 1, got {n}")
     sigma = np.full(n, _first_variance(cfg, x))
@@ -342,8 +345,11 @@ def _psd_factor(kmat):
 def _random_kernels(cfg, kmat, rng):
     """K^{(1..L+1)} from K^{(1)} = kmat, layer by layer: one draw from an (n, n)
     kmat, or a chain per entry of one input's Sigma^{(1)} vector kmat.  Each
-    layer's atoms are cut at its measure's default floor by `levy`, which
-    returns their dropped mean."""
+    layer's atoms are cut at its measure's default floor by `levy`: the
+    largest floor whose dropped atoms have variance at most
+    levy.DROPPED_VARIANCE_TOL x_ref^2, x_ref = rhobar^{-1}(1), and no more
+    than levy.MAX_ROW_ATOMS atoms a row.  `levy` returns their dropped mean,
+    which joins the drift term."""
     gen, act, sv2 = rng.generator, cfg.activation, cfg.sigma_v ** 2
     out = [kmat]
     for model in cfg.variance_models:
@@ -374,7 +380,11 @@ def sample_random_kernel(cfg, inputs, rng):
     K^{(1)} = sigma_b^2 + sigma_v^2 x^T x' / d_in; each next layer adds the
     drift term sigma_v^2 (a + dropped mean) E[phi(z) phi(z')|K] and the atom
     series sigma_v^2 sum_j lam_j phi(zeta_j(x)) phi(zeta_j(x')), with marks
-    zeta_j ~ N(0, K^{(l)}) drawn through the factor `_psd_factor`.
+    zeta_j ~ N(0, K^{(l)}) drawn through the factor `_psd_factor`.  The
+    series keeps the atoms lam_j above the layer measure's default floor,
+    whose dropped atoms have variance at most levy.DROPPED_VARIANCE_TOL
+    x_ref^2 (x_ref = rhobar^{-1}(1)); a measure whose floor keeps more than
+    levy.MAX_ROW_ATOMS atoms raises a ValueError.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     if not 1 <= x.shape[0] <= 64:
@@ -387,30 +397,3 @@ def sample_random_kernel(cfg, inputs, rng):
     kmat = cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * (x @ x.T) / cfg.d_in
     return _random_kernels(cfg, kmat, rng)
 
-
-def stable_case_scale(cfg, x, alpha, rng=None):
-    """Per-layer conditional scales r^{(l)} when every hidden layer's variance
-    sum is Stable(alpha, 1): given the previous layers, K^{(l)}(x,x) -
-    sigma_b^2 is Stable(alpha, r^{(l)}) with
-    r^{(l)} = sigma_v^2 (E[|phi(zeta)|^{2 alpha} | Sigma^{(l-1)}])^{1/alpha}.
-
-    With one hidden layer the chain is deterministic; deeper chains draw the
-    intermediate Stable(alpha, 1) variables and need an rng.  Returns the
-    list [r^{(2)}, ..., r^{(L+1)}].
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    sigma = _first_variance(cfg, x)
-    sv2 = cfg.sigma_v ** 2
-    scales = []
-    for l in range(cfg.n_hidden):
-        moment = kernels.homogeneous_moment(cfg.activation, alpha, sigma)
-        r = sv2 * moment ** (1.0 / alpha)
-        scales.append(r)
-        if l + 1 < cfg.n_hidden:
-            if rng is None:
-                raise ValueError("deeper-than-one-layer stable chains draw "
-                                 "intermediate stable variables; pass an rng")
-            lam = float(sample_positive_stable(alpha, 1.0, rng))
-            sigma = cfg.sigma_b ** 2 + lam * r
-    return scales

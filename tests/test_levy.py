@@ -3,6 +3,7 @@ infinitely divisible samplers."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -537,7 +538,8 @@ def _padded_exponential_series(m, rng, n, floor):
     rows padded to ten standard deviations past the mean count, mapped to
     atoms rhobar^{-1}(G_k).  Returns each row's 1st, 2nd and 5th atoms (0
     where the row is shorter), its count and its sum."""
-    _, mass, _, inv = levy._truncation(m, floor)
+    cut = levy._truncation(m, floor)
+    mass, inv = cut.mass, cut.inverse
     ncols = int(mass + 10.0 * math.sqrt(mass + 1.0) + 20.0)
     parts = []
     for k in range(0, n, 2000):
@@ -695,6 +697,78 @@ def test_zero_measure_draws_no_random_numbers():
 def test_default_atom_floor_positive():
     for m in _measures().values():
         assert default_atom_floor(m) > 0.0
+
+
+def _budget_cases():
+    # every family with a closed-form variance below a floor, the measures
+    # that the models and criterion 05 truncate among them
+    cases = dict(_measures())
+    cases.update({
+        "beta_1000_500": beta_measure(1000.0, 500.0),
+        "gg_pareto_tau_08": gg_pareto_measure(1.0, 0.5, 0.8),
+        "gg_pareto_tau_2": gg_pareto_measure(1.0, 0.5, 2.0),
+        "gg_pareto_tau_3": gg_pareto_measure(2.0, 0.3, 3.0),
+    })
+    return cases
+
+
+def _x2_density(m):
+    # x^2 rho(dx)/dx; gg_pareto's from its exact density, which the
+    # descriptor replaces by its leading term below x = 1e-6
+    if m.name != "gg_pareto":
+        return lambda x: x * x * float(m.density_fn(x))
+    eta, alpha, tau = (m.params[k] for k in ("eta", "alpha", "tau"))
+    s = tau - alpha
+    return lambda x: (eta / math.gamma(1.0 - alpha) * x ** (1.0 - tau)
+                      * sp.gammainc(s, x) * math.gamma(s))
+
+
+@pytest.mark.parametrize("name", sorted(_budget_cases()))
+def test_variance_below_matches_quadrature(name):
+    # int_0^eps x^2 rho(dx) in closed form against quadrature of x^2 rho in
+    # y = log x, to 1e-9 relative
+    m = _budget_cases()[name]
+    f = _x2_density(m)
+    for eps in (1e-6, 1e-3, 0.5):
+        oracle, _ = integrate.quad(lambda y: f(math.exp(y)) * math.exp(y),
+                                   math.log(eps) - 80.0, math.log(eps),
+                                   epsabs=0.0, epsrel=1e-13, limit=500)
+        got = levy._moment_below(m, eps, 2)
+        assert abs(got / oracle - 1.0) < 1e-9, (eps, got, oracle)
+
+
+@pytest.mark.parametrize("name", sorted(_budget_cases()))
+def test_default_floor_spends_the_variance_budget(name):
+    # V(floor) <= tol x_ref^2, and the floor is the largest such: V is within
+    # 1e-6 of the budget, or the floor is x_ref itself
+    m = _budget_cases()[name]
+    ref = levy._reference_atom(m)
+    budget = levy.DROPPED_VARIANCE_TOL * ref * ref
+    cut = levy._truncation(m, None)
+    assert cut.floor == default_atom_floor(m)
+    assert 0.0 < cut.floor <= ref
+    assert cut.var_below == levy._moment_below(m, cut.floor, 2)
+    assert cut.mean_below == mean_mass_below(m, cut.floor)
+    assert cut.var_below <= budget
+    assert cut.var_below >= (1.0 - 1e-6) * budget or cut.floor == ref
+    assert cut.mass <= levy.MAX_ROW_ATOMS
+
+
+def test_floor_past_the_atom_budget_raises_before_drawing():
+    # stable(1/2, 1) at 1e-20 would keep rhobar = 1e10 atoms a row: refused
+    # with nothing drawn, cached or allocated past 1 MB
+    m, rng = stable_measure(0.5, 1.0), RngStream(0, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="atom budget"):
+            sample_ppp_matrix(m, rng, atom_floor=1e-20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert m.truncation_cache is None
+    assert np.array_equal(rng.generator.random(4),
+                          RngStream(0, 0).generator.random(4))
 
 
 # ---------------------------------------------------------------------------

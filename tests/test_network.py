@@ -2,9 +2,11 @@
 kernel sampler."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as st
 
 from levynet import kernels, levy, network
@@ -15,8 +17,7 @@ from levynet.models import make_model
 from levynet.network import (NetworkConfig, _cond_phi_outer, _psd_factor,
                              forward, forward_law, sample_lambdas,
                              sample_network, sample_random_kernel,
-                             simulate_limit_single_input, stable_case_scale,
-                             variance_recursion)
+                             simulate_limit_single_input, variance_recursion)
 from levynet.rng import RngStream
 from levynet.stats import ks_distance
 
@@ -293,6 +294,28 @@ def test_limit_rejects_fewer_than_one_replicate(replicates):
                        match=f"replicates must be >= 1, got {replicates}"):
         simulate_limit_single_input(cfg, np.array([1.0]), RngStream(1, 0),
                                     replicates=replicates)
+
+
+@pytest.mark.parametrize("replicates", [2.7, True])
+def test_limit_takes_an_integer_replicate_count(replicates):
+    cfg = _cfg(make_model("beta", eta=1.0, b=0.5))
+    with pytest.raises(ValueError, match="replicates must be an integer"):
+        simulate_limit_single_input(cfg, np.array([1.0]), RngStream(1, 0),
+                                    replicates=replicates)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg, x: forward(sample_network(cfg, RngStream(54, 0)), cfg, x),
+    lambda cfg, x: forward_law(cfg, sample_lambdas(cfg, RngStream(54, 0)), x,
+                               RngStream(54, 1)),
+], ids=["forward", "forward_law"])
+def test_forward_passes_refuse_a_non_finite_row(call):
+    beta = make_model("beta", eta=1.0, b=0.5)
+    cfg = NetworkConfig(3, 2, [4, 5], 1.0, 0.3, RELU, [beta, beta])
+    for x in (np.array([[0.2, 0.4, -1.0], [1.0, math.nan, 0.0]]),
+              np.array([1.0, math.nan, 0.0]), np.array([[math.inf, 0.0, 0.0]])):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            call(cfg, x)
 
 
 def test_relu_conditional_outer_matches_kappa_closed_form():
@@ -576,6 +599,29 @@ def test_kernel_layers_truncate_at_the_default_floor(monkeypatch, name):
     assert floors == [expect] * 3
 
 
+def test_stable_kernel_draw_near_alpha_one_is_bounded(monkeypatch):
+    # inverse_gamma_stable(0.9): the variance budget keeps about 6.9e4 atoms
+    # a row, where a floor of 1e-8 x_ref kept 1.6e7.  A depth-1 draw on two
+    # inputs, its set-up included, stays under 1e5 atoms and takes under 1 s
+    atoms = []
+    sample_ppp_matrix = network.levy.sample_ppp_matrix
+
+    def recording(*args, **kwargs):
+        out = sample_ppp_matrix(*args, **kwargs)
+        atoms.append(np.count_nonzero(out[0]))
+        return out
+
+    monkeypatch.setattr(network.levy, "sample_ppp_matrix", recording)
+    model = make_model("inverse_gamma_stable", alpha=0.9)
+    cfg = NetworkConfig(2, 1, [10], 1.0, 0.0, RELU, [model])
+    start = time.perf_counter()
+    ks = sample_random_kernel(cfg, _WIDE_X, RngStream(65, 0))
+    elapsed = time.perf_counter() - start
+    assert levy._truncation(model.limit.measure, None).mass < 1e5
+    assert len(atoms) == 1 and 0 < atoms[0] < 1e5 < levy.MAX_ROW_ATOMS
+    assert np.all(np.isfinite(ks[1])) and elapsed < 1.0
+
+
 def test_slab_moments_and_recursion_are_exact():
     # c = 1.5 times the lognormal(-3, 0.01) law, whose narrow bump sits far
     # from x = 1: M_k = c exp(k mu + k^2 sigma^2 / 2)
@@ -686,35 +732,16 @@ def test_kernel_refuses_empty_and_non_finite_batches(x, message):
         sample_random_kernel(cfg, x, RngStream(1, 0))
 
 
-def test_stable_case_scale_single_layer():
-    # one hidden ReLU layer, |x|^2/d_in = 1: r = E[(X+)^{2a}]^{1/a}
-    ig_stable = make_model("inverse_gamma_stable", alpha=0.5)
-    cfg = _cfg(ig_stable)
-    scales = stable_case_scale(cfg, np.array([1.0]), 0.5)
-    assert len(scales) == 1
-    assert abs(scales[0] - kernels.relu_moment(0.5, 1.0) ** 2.0) < 1e-12
-    # alpha = 1, linear: moment doubles and the exponent is 1
-    cfg_lin = _cfg(ig_stable, act=activation_from_name("linear"))
-    scales = stable_case_scale(cfg_lin, np.array([1.0]), 1.0)
-    assert abs(scales[0] - 2.0 * kernels.relu_moment(1.0, 1.0)) < 1e-12
-
-
-def test_stable_case_scale_depth_needs_rng():
-    ig_stable = make_model("inverse_gamma_stable", alpha=0.5)
-    cfg = _cfg(ig_stable, widths=(10, 10))
-    with pytest.raises(ValueError):
-        stable_case_scale(cfg, np.array([1.0]), 0.5)
-    scales = stable_case_scale(cfg, np.array([1.0]), 0.5, rng=RngStream(60, 0))
-    assert len(scales) == 2 and all(s > 0 for s in scales)
-
-
 def test_stable_layer_kernel_law():
     # with Stable(alpha, 1) layer variances, K^{(2)}(x, x) is Stable(alpha, r)
+    # with r = sigma_v^2 Sigma^{(1)} times the activation image's scale
     alpha = 0.5
     model = make_model("inverse_gamma_stable", alpha=alpha)
     cfg = _cfg(model)
     x = np.array([1.0])
-    r = stable_case_scale(cfg, x, alpha)[0]
+    _, eta = levy.activation_transform(model.limit, cfg.activation)
+    sigma1 = cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * float(x @ x) / cfg.d_in
+    r = cfg.sigma_v ** 2 * sigma1 * eta.family[2]
     n = 3000
     diag = np.array([sample_random_kernel(cfg, x[None, :],
                                           RngStream(61, i))[1][0, 0]
@@ -726,27 +753,31 @@ def test_stable_layer_kernel_law():
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
 def test_stable_case_scale_is_the_transformed_stable_scale(alpha):
-    # r^{(2)} = sigma_v^2 Sigma^{(1)} times the scale of the activation
-    # transform of the Stable(alpha, 1) layer measure
+    # the stable case's scale r^{(2)} = sigma_v^2 (E|phi(zeta)|^{2 alpha})^{1/alpha},
+    # zeta ~ N(0, Sigma^{(1)}), is sigma_v^2 Sigma^{(1)} times the scale of
+    # the activation transform of the Stable(alpha, 1) layer measure; the
+    # moment by quadrature against the normal density
     model = make_model("inverse_gamma_stable", alpha=alpha)
     x = np.array([0.7, -1.1])
     for act in (RELU, activation_from_name("linear"), leaky_relu(0.5),
                 _two_half()):
-        cfg = NetworkConfig(2, 1, [10], 1.3, 0.4, act, [model])
         sigma1 = 0.4 ** 2 + 1.3 ** 2 * float(x @ x) / 2
         _, eta = levy.activation_transform(model.limit, act)
         assert eta.family[:2] == ("stable", alpha)
-        expect = 1.3 ** 2 * sigma1 * eta.family[2]
-        got = stable_case_scale(cfg, x, alpha)[0]
-        assert abs(got - expect) <= 1e-12 * expect
+        moment = sum(integrate.quad(
+            lambda z: abs(float(act(np.array(math.sqrt(sigma1) * z))))
+            ** (2.0 * alpha) * st.norm.pdf(z), lo, hi, epsabs=0.0,
+            epsrel=1e-12, limit=200)[0] for lo, hi in ((-math.inf, 0.0),
+                                                        (0.0, math.inf)))
+        expect = 1.3 ** 2 * moment ** (1.0 / alpha)
+        got = 1.3 ** 2 * sigma1 * eta.family[2]
+        assert abs(got - expect) <= 1e-9 * expect
 
 
 _SINGLE_INPUT_CALLS = pytest.mark.parametrize("call", [
     lambda cfg, x: simulate_limit_single_input(cfg, x, RngStream(1, 0)),
     variance_recursion,
-    lambda cfg, x: stable_case_scale(cfg, x, 0.5),
-], ids=["simulate_limit_single_input", "variance_recursion",
-        "stable_case_scale"])
+], ids=["simulate_limit_single_input", "variance_recursion"])
 
 
 @_SINGLE_INPUT_CALLS
