@@ -208,9 +208,10 @@ def forward_law(cfg, lambdas, x, rng, keep=None):
     bitwise equal get bit-identical outputs.
 
     x is an (m, d_in) batch with finite entries (or a d_in vector, squeezing
-    the outputs like `forward`).  keep, if given, holds one boolean mask per hidden layer,
-    broadcastable to (m, p_l); a False entry prunes that node for that row,
-    i.e. zeroes its variance in the product into the next layer.
+    the outputs like `forward`).  keep, if given, holds one boolean mask per
+    hidden layer, broadcastable to (m, p_l); a False entry prunes that node
+    for that row, i.e. zeroes its variance in the product into the next
+    layer.
     """
     h, squeeze = _input_batch(cfg, x)
     gen = rng.generator
@@ -396,4 +397,3 @@ def sample_random_kernel(cfg, inputs, rng):
         raise ValueError("input entries must be finite")
     kmat = cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * (x @ x.T) / cfg.d_in
     return _random_kernels(cfg, kmat, rng)
-
