@@ -15,9 +15,9 @@ share them; the report is assembled in cell order after.  A cell and its key:
     an experiment takes at most 1000 chunks, 500 000 replicates.  The job is
     the mi-th model (output_corr: its wi-th width, k = mi len(widths) + wi;
     truncation_error: the ai-th alpha);
-  - compressibility: the k-th (model, width), key k, drawing its mass ratio,
-    paired pruning error and E[Z^2] denominator in turn (with workers=1, so
-    no pool runs inside a pool thread);
+  - compressibility: the k-th (model, width), key k, drawing the n variance
+    rows of its mass ratio and E[Z^2] denominator, then its paired pruning
+    error (with workers=1, so no pool runs inside a pool thread);
   - verify: the convergence checks of the mi-th model, key 5000 + mi.
 truncation_error fans out the chunks of one alpha at a time: its thin-panel
 QR factors contend for the cores when its alphas run at once.
@@ -28,12 +28,8 @@ place by the samplers; two for the generalized BFRY's product) plus blocks of
 at most 65 536 draws, so `workers` cells at once need about `workers`
 variance arrays.
 
-The one-hidden-layer outputs (output_dist, output_corr and the E[Z^2]
-denominator of compressibility) come from their exact conditional law: given
-the variances and pre-activations the output is N(0, sum_j lambda_j
-relu(g_j)^2), and ReLU zeroes each unit independently with probability 1/2,
-so each replicate draws a Binomial(p, 1/2) count of active units, that many
-variances and squared normals, and d_out normals (`_output_chunk`).
+The one-hidden-layer outputs of output_dist and output_corr come from their
+exact conditional law over the active ReLU units (`_output_chunk`).
 """
 
 import math
@@ -132,7 +128,7 @@ def _output_chunk(model, p, d_out, rows, rng):
     return np.sqrt(s)[:, None] * gen.standard_normal((rows, d_out))
 
 
-@stats.register_experiment("output_dist")
+@stats.register_experiment("output_dist", keys=("width", "models"))
 def output_dist(config, master_seed, replicates, workers):
     if replicates < 200:
         raise ValueError(f"output_dist needs at least 200 replicates, got "
@@ -173,7 +169,7 @@ def output_dist(config, master_seed, replicates, workers):
     return report
 
 
-@stats.register_experiment("output_corr")
+@stats.register_experiment("output_corr", keys=("widths", "models"))
 def output_corr(config, master_seed, replicates, workers):
     widths = [int(w) for w in config.get("widths", (100, 500, 1000, 2000))]
     models = sorted(standard_models(config.get("models")).items())
@@ -217,7 +213,7 @@ def _max_weight_chunk(model, widths, rows, rng):
                     axis=1)
 
 
-@stats.register_experiment("max_weight")
+@stats.register_experiment("max_weight", keys=("widths", "models"))
 def max_weight(config, master_seed, replicates, workers):
     widths = [int(w) for w in config.get("widths", (100, 500, 1000, 2000))]
     models = sorted(standard_models(config.get(
@@ -259,7 +255,8 @@ def _sweep_chunk(cfg, x, eps_grid, rows, rng):
     return np.array([[rows * m, rows * (se ** 2 * rows + m ** 2)]])
 
 
-@stats.register_experiment("truncation_error")
+@stats.register_experiment("truncation_error", keys=(
+    "alphas", "tau", "eta", "width", "depth", "eps_grid", "delta"))
 def truncation_error(config, master_seed, replicates, workers):
     alphas = [float(a) for a in config.get("alphas", (0.5, 0.3, 0.1))]
     tau = float(config.get("tau", 5.0))
@@ -298,7 +295,7 @@ def truncation_error(config, master_seed, replicates, workers):
     return report
 
 
-@stats.register_experiment("kernel_realizations")
+@stats.register_experiment("kernel_realizations", keys=("betas", "n_rho"))
 def kernel_realizations(config, master_seed, replicates, workers):
     """Draws of the layer-2 random ReLU kernel K(x_0, x) over 41 angles, one
     column per draw, for beta(eta, eta/2) layers at each eta in `betas`.
@@ -353,21 +350,23 @@ _GP_RATIO_LIMITS = {
 
 def _compressibility_cell(model, p, kappa, n, rng):
     """One (model, width) cell of compressibility: (the mean kappa mass ratio
-    of n variance draws, the paired error of the output when the hidden layer
-    is pruned by `pruning.kappa_keep`, that error over E[Z^2] from at least
-    200 output draws), drawn from rng in that order."""
+    of n variance rows, the paired error of the output when the hidden layer
+    is pruned by `pruning.kappa_keep`, that error over the rows' mean of
+    E[Z^2 | lambda] = c_phi sum_j lambda_j), the rows drawn from rng first.
+    Each term's variance is at most Z^2's, so at n >= 200 (the CLI default
+    and criterion 09) the denominator is no noisier than 200 output draws."""
+    lam = model.sample(p, rng, p_next=1, n=n)
     ratio = float(np.mean([pruning.compressibility_ratio(row, kappa)
-                           for row in model.sample(p, rng, p_next=1, n=n)]))
+                           for row in lam]))
     cfg = NetworkConfig(1, 1, [p], 1.0, 0.0, RELU, [model])
     keep = partial(pruning.kappa_keep, kappa=kappa)
     err, _ = pruning.paired_pruning_error(cfg, np.array([1.0]), keep, n, rng)
-    z = np.concatenate([_output_chunk(model, p, 1, rows, rng)
-                        for rows in _chunks(max(n, 200))])
-    z2 = np.mean(z[:, 0] ** 2)
+    z2 = RELU.c_phi * np.mean(lam.sum(axis=1))
     return ratio, float(err[-1]), float(err[-1] / z2)
 
 
-@stats.register_experiment("compressibility")
+@stats.register_experiment("compressibility",
+                          keys=("widths", "kappa", "models"))
 def compressibility(config, master_seed, replicates, workers):
     """The kappa mass ratio, the paired kappa-pruning error and its fraction
     of E[Z^2] of one-hidden-layer networks, per model and width.  The k-th

@@ -93,11 +93,15 @@ def map_replicates(fn, replicates, workers=1):
 
 
 _EXPERIMENTS = {}
+_CONFIG_KEYS = {}
 
 
-def register_experiment(name):
+def register_experiment(name, keys=()):
+    """Register fn(config, master_seed, replicates, workers) as the
+    experiment `name`, whose config may hold only `keys`."""
     def deco(fn):
         _EXPERIMENTS[name] = fn
+        _CONFIG_KEYS[name] = frozenset(keys)
         return fn
     return deco
 
@@ -111,9 +115,9 @@ def experiment_names():
 def run_experiment(spec, master_seed, replicates, worker_count=1):
     """Dispatch a registered experiment.  spec is either a name or a dict with
     a "name" key plus configuration; the result is deterministic in
-    (spec, master_seed, replicates) whatever worker_count is.  Every
-    experiment echoes the configuration keys it reads in its report's config,
-    and a key it did not read raises a ValueError."""
+    (spec, master_seed, replicates) whatever worker_count is.  A
+    configuration key that the experiment did not declare when it was
+    registered raises a ValueError before anything is drawn."""
     from . import experiments  # noqa: F401  (populates the registry)
 
     if isinstance(spec, str):
@@ -128,10 +132,10 @@ def run_experiment(spec, master_seed, replicates, worker_count=1):
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     config = {k: v for k, v in spec.items() if k != "name"}
-    report = _EXPERIMENTS[name](config, master_seed, replicates, worker_count)
-    unread = sorted(set(config) - set(report.config))
+    unread = sorted(set(config) - _CONFIG_KEYS[name])
     if unread:
         raise ValueError(f"{name} does not read the config key(s) {unread}")
+    report = _EXPERIMENTS[name](config, master_seed, replicates, worker_count)
     report.master_seed = master_seed
     report.replicate_count = replicates
     return report

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats as st
 
+from levynet import stats
+from levynet.activations import RELU
 from levynet.experiments import (STANDARD_MODEL_NAMES, _map_chunks,
                                  _max_weight_chunk, _output_chunk,
                                  standard_models)
@@ -131,6 +133,45 @@ def test_compressibility_gp_regime_targets():
     assert [e.label for e in rep.estimates] == ["group_lasso_gamma/ratio_final"]
 
 
+def test_deterministic_error_fraction_is_over_the_rows_mean():
+    # the denominator is c_phi times the mean row sum of the n variance rows
+    # the mass ratio reads; deterministic rows draw nothing from the stream
+    n = 20
+    model = standard_models(["deterministic"])["deterministic"]
+    spec = {"name": "compressibility", "widths": [50, 200, 1000],
+            "models": ["deterministic"]}
+    rows = run_experiment(spec, 13, n).tables["compressibility"]["rows"]
+    assert [r[1] for r in rows] == [50, 200, 1000]
+    for _, p, _, err, frac in rows:
+        lam = model.sample(p, RngStream(0, 0), p_next=1, n=n)
+        assert frac == pytest.approx(err / (0.5 * lam.sum(axis=1).mean()),
+                                     rel=1e-12, abs=0.0)
+
+
+def _denominator_terms(name, p, n):
+    """(c_phi sum_j lambda_j over n variance rows, Z^2 of n outputs from
+    `_output_chunk`) at width p, from separate streams."""
+    model = standard_models([name])[name]
+    cond = RELU.c_phi * model.sample(p, RngStream(61, 0), p_next=1,
+                                     n=n).sum(axis=1)
+    return cond, _outputs(model, p, n, 62, 0, 1)[:, 0] ** 2
+
+
+@pytest.mark.parametrize("name", ["beta", "inverse_gamma"])
+def test_conditional_denominator_matches_output_second_moment(name):
+    # E[Z^2 | lambda] = c_phi sum_j lambda_j keeps the mean of Z^2
+    n = 4000
+    cond, z2 = _denominator_terms(name, 500, n)
+    se = math.sqrt(cond.var(ddof=1) / n + z2.var(ddof=1) / n)
+    assert abs(cond.mean() - z2.mean()) <= 4 * se
+
+
+def test_conditional_denominator_has_the_smaller_variance():
+    # Var Z^2 = Var E[Z^2 | lambda] + E Var(Z^2 | lambda)
+    cond, z2 = _denominator_terms("beta", 500, 4000)
+    assert cond.var(ddof=1) < z2.var(ddof=1)
+
+
 def test_verify_all_checks_pass():
     rep = run_experiment("verify", 11, 200)
     failed = [c.label for c in rep.checks if not c.passed]
@@ -241,7 +282,7 @@ def _one_pass_chunk(model, p, rows, rng, d_out):
     (1, 300, 1 << 16),     # half the rows have no active unit, one block
     (3, 200, 5),           # rows with none, blocks of 1 or 2 rows
     (20, 50, 5),           # every row alone is longer than a block
-    (8000, 200, 1 << 16),  # the compressibility denominator's shape
+    (8000, 200, 1 << 16),  # about 800 000 active units, many blocks
 ])
 def test_blocked_row_sums_match_one_pass(monkeypatch, p, rows, block):
     monkeypatch.setattr("levynet.rng._BLOCK", block)
@@ -350,6 +391,34 @@ def _record_stream_keys(monkeypatch):
 
     monkeypatch.setattr(RngStream, "__init__", recording)
     return keys
+
+
+def test_misspelt_config_key_is_refused_before_any_draw(monkeypatch):
+    keys = _record_stream_keys(monkeypatch)
+    spec = {"name": "compressibility", "widht": [500]}
+    with pytest.raises(ValueError, match=r"compressibility does not read "
+                                         r"the config key\(s\) \['widht'\]"):
+        run_experiment(spec, 1, 200)
+    assert keys == []
+
+
+_SMALL_SPECS = {
+    "output_dist": ({"width": 20, "models": ["deterministic"]}, 200),
+    "output_corr": ({"widths": [10], "models": ["beta"]}, 10),
+    "max_weight": ({"widths": [10], "models": ["beta"]}, 10),
+    "truncation_error": ({"alphas": [0.5], "width": 10, "depth": 1,
+                          "eps_grid": [1e-3, 1e-2]}, 4),
+    "kernel_realizations": ({"betas": [1.0], "n_rho": 3}, 2),
+    "compressibility": ({"widths": [10], "models": ["beta"]}, 4),
+    "verify": ({}, 200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(experiment_names()))
+def test_report_config_echoes_the_declared_keys(name):
+    config, replicates = _SMALL_SPECS[name]
+    rep = run_experiment({"name": name, **config}, 2, replicates)
+    assert set(rep.config) == stats._CONFIG_KEYS[name]
 
 
 def test_cells_construct_distinct_streams(monkeypatch):

@@ -108,8 +108,8 @@ def test_run_experiment_unknown_name():
 
 
 def test_run_experiment_refuses_config_keys_it_does_not_read():
-    # every experiment echoes the keys it reads into report.config, so a
-    # misspelt key is named instead of silently dropped
+    # every experiment declares the keys it reads when it is registered, so
+    # a misspelt key is named instead of silently dropped
     spec = {"name": "kernel_realizations", "betas": [1.0], "n_rho": 3,
             "widht": 500}
     with pytest.raises(ValueError, match=r"kernel_realizations does not read "
