@@ -19,8 +19,6 @@ share them; the report is assembled in cell order after.  A cell and its key:
     rows of its mass ratio and E[Z^2] denominator, then its paired pruning
     error (with workers=1, so no pool runs inside a pool thread);
   - verify: the convergence checks of the mi-th model, key 5000 + mi.
-truncation_error fans out the chunks of one alpha at a time: its thin-panel
-QR factors contend for the cores when its alphas run at once.
 kernel_realizations draws serially (see its docstring).
 
 A running cell holds one variance array (its rows' variances, built in
@@ -274,12 +272,13 @@ def truncation_error(config, master_seed, replicates, workers):
     x = np.array([1.0])
     rows = []
     n = int(replicates)
-    for ai, alpha in enumerate(alphas):
-        model = make_model("generalized_bfry", eta=eta, alpha=alpha, tau=tau)
-        cfg = NetworkConfig(1, 1, [p] * depth, 1.0, 0.0, RELU, [model] * depth)
-        (sums,) = _map_chunks([(partial(_sweep_chunk, cfg, x, eps_grid), ai)],
-                              n, master_seed, workers)
-        mean, second = sums.sum(axis=0) / n
+    cfgs = [NetworkConfig(1, 1, [p] * depth, 1.0, 0.0, RELU, [make_model(
+        "generalized_bfry", eta=eta, alpha=alpha, tau=tau)] * depth)
+        for alpha in alphas]
+    sums = _map_chunks([(partial(_sweep_chunk, c, x, eps_grid), ai)
+                        for ai, c in enumerate(cfgs)], n, master_seed, workers)
+    for alpha, cfg, s in zip(alphas, cfgs, sums):
+        mean, second = s.sum(axis=0) / n
         se = np.sqrt(np.maximum(second - mean ** 2, 0.0) / n)
         bound = np.array([pruning.epsilon_error_bound(cfg, x, e, alpha,
                                                       delta)[-1]

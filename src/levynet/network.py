@@ -199,19 +199,18 @@ def forward_law(cfg, lambdas, x, rng, keep=None):
     with variances `lambdas`, drawn from their exact conditional law without
     forming any weight matrix.
 
-    Given the m rows H entering layer l, Z^{(l)} has the law of A G with
-    A = [sigma_v H diag(sqrt(lambda^{(l-1)})) | sigma_b 1] and G iid N(0, 1):
-    its p_l columns are iid N(0, A A^T).  The factor L = R^T comes from a QR
-    of the transpose of A's distinct rows, A_k^T = Q R, so L L^T = A_k A_k^T
-    with no Gram matrix, exactly also for collinear rows.  Each
-    layer draws one standard_normal((rank, p_l)) block, and rows that are
-    bitwise equal get bit-identical outputs.
+    Given the m rows H entering layer l and A = H diag(sqrt(lambda^{(l-1)}))
+    masked by keep, the p_l columns of Z^{(l)} are iid N(0, K),
+    K = sigma_b^2 + sigma_v^2 A A^T.  K is formed over the bitwise-distinct
+    rows of A and factored by `_psd_factor`, as every limit layer is; one
+    standard_normal((rank K, p_l)) block a layer, copied back to every row,
+    gives bitwise-equal rows bit-identical outputs, which an eigen-factor of
+    K with equal rows would not.  An empty batch gives (0, p_l) layers.
 
     x is an (m, d_in) batch with finite entries (or a d_in vector, squeezing
     the outputs like `forward`).  keep, if given, holds one boolean mask per
     hidden layer, broadcastable to (m, p_l); a False entry prunes that node
-    for that row, i.e. zeroes its variance in the product into the next
-    layer.
+    for that row, zeroing its variance in the product into the next layer.
     """
     h, squeeze = _input_batch(cfg, x)
     gen = rng.generator
@@ -219,13 +218,12 @@ def forward_law(cfg, lambdas, x, rng, keep=None):
     sizes = cfg.layer_sizes()
     zs = []
     for l in range(1, cfg.n_hidden + 2):
-        a = cfg.sigma_v * h * np.sqrt(lambdas[l - 1])
+        a = h * np.sqrt(lambdas[l - 1])
         if l > 1 and keep is not None:
             a = a * keep[l - 2]
-        if cfg.sigma_b > 0:
-            a = np.hstack([a, np.full((a.shape[0], 1), cfg.sigma_b)])
         distinct, back = _distinct_rows(a)
-        factor = np.linalg.qr(distinct.T, mode="r").T
+        factor = _psd_factor(cfg.sigma_b ** 2
+                             + cfg.sigma_v ** 2 * distinct @ distinct.T)
         z = (factor @ gen.standard_normal((factor.shape[1], sizes[l])))[back]
         zs.append(z[0] if squeeze else z)
         h = phi(z)
@@ -238,14 +236,10 @@ def _first_variance(cfg, x):
     if not cfg.activation.homogeneous:
         raise ValueError("the single-input limit requires a positive "
                          "homogeneous activation")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected one input vector, got shape {x.shape}")
-    if x.size != cfg.d_in:
-        raise ValueError(f"input has {x.size} features, expected {cfg.d_in}")
-    if not np.isfinite(x).all():
-        raise ValueError("input entries must be finite")
-    return cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * float(x @ x) / cfg.d_in
+    h, squeeze = _input_batch(cfg, x)
+    if not squeeze:
+        raise ValueError(f"expected one input vector, got shape {np.shape(x)}")
+    return cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * float(h[0] @ h[0]) / cfg.d_in
 
 
 def simulate_limit_single_input(cfg, x, rng, replicates=1):
@@ -330,7 +324,9 @@ def _psd_factor(kmat):
     (Demmel & Veselic 1992).  The r eigenvalues above n eps max(w) are kept
     (numpy's matrix_rank tolerance): marks cost rank(kmat) normals per atom.
     A negative diagonal entry, or an eigenvalue below -1e-8 max(w), raises
-    LinAlgError: kmat is not PSD."""
+    LinAlgError: kmat is not PSD.  An empty kmat has an empty (0, 0) factor."""
+    if kmat.size == 0:
+        return np.zeros((0, 0))
     d, rho = _correlation(kmat)
     w, v = np.linalg.eigh(rho)
     top = max(float(w[-1]), 0.0)
@@ -387,13 +383,9 @@ def sample_random_kernel(cfg, inputs, rng):
     x_ref^2 (x_ref = rhobar^{-1}(1)); a measure whose floor keeps more than
     levy.MAX_ROW_ATOMS atoms raises a ValueError.
     """
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
+    x, _ = _input_batch(cfg, inputs)
     if not 1 <= x.shape[0] <= 64:
         raise ValueError(f"sample_random_kernel takes 1 to 64 inputs, "
                          f"got {x.shape[0]}")
-    if x.shape[1] != cfg.d_in:
-        raise ValueError(f"inputs have {x.shape[1]} features, expected {cfg.d_in}")
-    if not np.isfinite(x).all():
-        raise ValueError("input entries must be finite")
     kmat = cfg.sigma_b ** 2 + cfg.sigma_v ** 2 * (x @ x.T) / cfg.d_in
     return _random_kernels(cfg, kmat, rng)

@@ -11,9 +11,9 @@ identical variances is pruned entirely.
 explicit realisation (`sample_network` / `forward`); it takes any keep mask
 and is the oracle.  `epsilon_sweep_error` needs only the variances: given
 them, the unpruned and pruned pre-activations of a layer are jointly
-Gaussian, iid over output nodes, so it draws them with `network.forward_law`
-(one QR factor of the distinct rows per layer) instead of p x p weight
-matrices.  Both average one replicate's squared gaps in `_mean_and_se`.
+Gaussian, iid over output nodes, so it draws the hidden layers with
+`network.forward_law` instead of p x p weight matrices and takes the output
+gap in conditional expectation.  Both average their gaps in `_mean_and_se`.
 """
 
 import math
@@ -82,23 +82,32 @@ def paired_pruning_error(cfg, x, keep, replicates, rng):
 def epsilon_sweep_error(cfg, x, eps_grid, replicates, rng):
     """Final-layer paired pruning error across an epsilon grid, reusing each
     replicate's variances for every threshold.  The unpruned network and all
-    thresholds are rows of one `forward_law` batch, each threshold's row
-    carrying its keep-mask lambda > eps in every hidden layer; the rows share
-    the realisation, so the pair is drawn from its exact joint law without
-    any weight matrix, and a threshold that prunes nothing reproduces the
-    unpruned row bit for bit.  Per replicate the stream is consumed as: the
-    variances of every hidden layer, then one normal block per layer.
-    Returns (means, std_errors) aligned with eps_grid."""
+    thresholds are rows of one `forward_law` batch through the hidden layers,
+    each threshold's row keeping lambda > eps in every hidden layer, so the
+    rows are drawn from their exact joint law, and a threshold that prunes
+    nothing reproduces the unpruned row bit for bit.  The output layer is not
+    drawn: its gap is taken in conditional expectation, sigma_v^2
+    sum_j (a_0j - a_kj)^2 with a = phi(Z^{(L)}) sqrt(lambda^{(L)}) keep^{(L)},
+    the same mean as squared output normals with a lower variance
+    (Rao-Blackwell).  Per replicate the stream is consumed as: the variances
+    of every hidden layer, then one normal block per hidden layer.  Returns
+    (means, std_errors) aligned with eps_grid."""
+    if not cfg.widths:
+        raise ValueError("epsilon_sweep_error needs a hidden layer to prune")
     x = np.asarray(x, dtype=float)
     # row 0 carries the unpruned network, rows 1.. the eps thresholds
     thresholds = np.concatenate([[-np.inf], eps_grid])[:, None]
     rows = np.tile(x, (thresholds.size, 1))
+    # the hidden layers, the last one as the output layer of this network
+    hidden = replace(cfg, d_out=cfg.widths[-1], widths=cfg.widths[:-1],
+                     variance_models=cfg.variance_models[:-1])
 
     def draw_gaps():
         lambdas = sample_lambdas(cfg, rng)
         keep = [lam > thresholds for lam in lambdas[1:]]
-        z = forward_law(cfg, lambdas, rows, rng, keep=keep)[-1]
-        return np.mean((z[1:] - z[0]) ** 2, axis=1)
+        z = forward_law(hidden, lambdas[:-1], rows, rng, keep=keep[:-1])[-1]
+        a = cfg.activation(z) * np.sqrt(lambdas[-1]) * keep[-1]
+        return cfg.sigma_v ** 2 * np.sum((a[1:] - a[0]) ** 2, axis=1)
 
     return _mean_and_se(draw_gaps, replicates)
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from levynet.activations import RELU
 from levynet.models import make_model
@@ -100,7 +101,11 @@ def test_paired_error_zero_when_nothing_pruned():
 def test_epsilon_sweep_matches_paired_error_in_law():
     # the sweep draws from the conditional law, the paired error from
     # explicit weights: on independent streams their final-layer errors agree
-    # in law (depth 2, so the masks propagate through a hidden layer)
+    # in law (depth 2, so the masks propagate through a hidden layer).  The
+    # sweep takes the output gap in conditional expectation: for one output,
+    # the normal's square has variance 3 times its conditional mean's square
+    # and more, so its standard error is at most 1/sqrt(3) = 0.58 of the
+    # paired error's
     beta = make_model("beta", eta=1.0, b=0.5)
     cfg = _cfg(beta, widths=(50, 50), sigma_b=0.1)
     x = np.array([1.0])
@@ -115,6 +120,24 @@ def test_epsilon_sweep_matches_paired_error_in_law():
         z = abs(sweep_mean[i] - pair_mean[-1]) / math.hypot(sweep_se[i],
                                                            pair_se[-1])
         assert z <= 4.0, (eps, sweep_mean[i], pair_mean[-1], z)
+        assert sweep_se[i] < 0.7 * pair_se[-1], (eps, sweep_se[i], pair_se[-1])
+
+
+def test_epsilon_sweep_depth_one_gap_is_the_truncated_mass():
+    # one hidden layer, unit input, no bias: the conditional output gap is
+    # sum_j relu(z_j)^2 lambda_j 1{lambda_j <= eps}, z_j ~ N(0, Sigma^{(1)}),
+    # whose mean is (Sigma^{(1)} / 2) p E[lambda; lambda <= eps] with
+    # lambda ~ Beta(a, b), a = eta / p, and
+    # E[lambda; lambda <= eps] = a / (a + b) I_eps(a + 1, b)
+    p, a, b = 200, 1.0 / 200, 0.5
+    cfg = _cfg(make_model("beta", eta=1.0, b=b), widths=(p,))
+    x = np.array([1.0])
+    sigma1 = cfg.sigma_v ** 2 * float(x @ x) / cfg.d_in
+    eps_grid = np.array([1e-3, 1e-2, 1e-1])
+    mean, se = epsilon_sweep_error(cfg, x, eps_grid, 4000, RngStream(84, 0))
+    target = sigma1 / 2 * p * a / (a + b) * betainc(a + 1, b, eps_grid)
+    z = np.abs(mean - target) / se
+    assert np.all(z <= 4.0), (mean, target, z)
 
 
 def test_epsilon_sweep_zero_gap_when_nothing_pruned():
