@@ -102,10 +102,10 @@ def test_epsilon_sweep_matches_paired_error_in_law():
     # the sweep draws from the conditional law, the paired error from
     # explicit weights: on independent streams their final-layer errors agree
     # in law (depth 2, so the masks propagate through a hidden layer).  The
-    # sweep takes the output gap in conditional expectation: for one output,
-    # the normal's square has variance 3 times its conditional mean's square
-    # and more, so its standard error is at most 1/sqrt(3) = 0.58 of the
-    # paired error's
+    # sweep takes the output gap in conditional expectation s: for one
+    # output the squared gap is s N^2, of variance 2 E[s^2] + Var(s) >=
+    # 3 Var(s), so the sweep's standard error is at most 1/sqrt(3) = 0.58 of
+    # the paired error's
     beta = make_model("beta", eta=1.0, b=0.5)
     cfg = _cfg(beta, widths=(50, 50), sigma_b=0.1)
     x = np.array([1.0])
